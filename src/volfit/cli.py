@@ -16,8 +16,6 @@ reruns on the same inputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from dataclasses import replace
@@ -44,46 +42,49 @@ FIT_FUNCTIONS = {
 }
 
 
+def _csv_text(header: str, columns) -> str:
+    """CSV text: the header line, then one line per row of the cell columns.
+
+    Cells are pre-formatted numbers or empty strings, none of which needs
+    quoting, so the text is what ``csv.writer`` would produce.
+    """
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each value as a Python float."""
+    return list(map(repr, values.tolist()))
+
+
 def export_plot_data(model: sf.PolySurfaceModel, table: sf.FeatureTable,
                      grid_density: int) -> tuple[str, str]:
     """Plot-data files for one fitted surface.
 
     The surface CSV holds grid_density**2 rows (x, y, f(x, y)) spanning the
-    table's observed x and y ranges; the residual CSV holds one
+    table's observed x and y ranges, x-major; the residual CSV holds one
     (provenance index, residual) row per table row.
     """
     if grid_density < 2:
         raise ValueError("grid density must be >= 2")
     xs = np.linspace(float(table.x.min()), float(table.x.max()), grid_density)
     ys = np.linspace(float(table.y.min()), float(table.y.max()), grid_density)
-    surface_buf = io.StringIO()
-    writer = csv.writer(surface_buf, lineterminator="\n")
-    writer.writerow(["x", "y", "f"])
-    for x in xs:
-        for y in ys:
-            writer.writerow([repr(float(x)), repr(float(y)),
-                             repr(sf.evaluate_surface(model, x, y))])
-    residual_buf = io.StringIO()
-    writer = csv.writer(residual_buf, lineterminator="\n")
-    writer.writerow(["index", "residual"])
-    for t, r in zip(table.provenance, ev.residuals(model, table)):
-        writer.writerow([int(t), repr(float(r))])
-    return surface_buf.getvalue(), residual_buf.getvalue()
+    gx = np.repeat(xs, grid_density)
+    gy = np.tile(ys, grid_density)
+    f = sf.evaluate_surface(model, gx, gy)
+    surface = _csv_text("x,y,f", (_reprs(gx), _reprs(gy), _reprs(f)))
+    residual = _csv_text("index,residual", (
+        map(str, table.provenance.tolist()),
+        _reprs(ev.residuals(model, table)),
+    ))
+    return surface, residual
 
 
 def decomposition_csv(dec: DecomposedSeries) -> str:
     """5-column CSV of the decomposition; missing values become empty cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "original", "trend", "seasonal", "remainder"])
-    columns = (dec.original.values, dec.trend, dec.seasonal, dec.remainder)
-    for i in range(len(dec)):
-        row = [str(i + 1)]
-        for col in columns:
-            v = col[i]
-            row.append("" if np.isnan(v) else repr(float(v)))
-        writer.writerow(row)
-    return buf.getvalue()
+    columns = [map(str, range(1, len(dec) + 1))]
+    for values in (dec.original.values, dec.trend, dec.seasonal, dec.remainder):
+        columns.append(["" if v != v else repr(v) for v in values.tolist()])
+    return _csv_text("index,original,trend,seasonal,remainder", columns)
 
 
 def _load_inputs(args) -> tuple[str, PipelineConfig]:

@@ -8,6 +8,10 @@ was.  The robust variants (least absolute residuals and Tukey bisquare)
 run as iteratively reweighted least squares seeded by the ordinary
 solution; all solves go through a pivoted QR factorization rather than
 normal equations.
+
+``scipy.linalg`` and ``scipy.special`` are imported by the functions that
+fit and bound a surface, not at module level, so that evaluating a saved
+model loads numpy only.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, stats
 
 from .errors import (
     DegreesOfFreedomError,
@@ -234,7 +237,13 @@ def design_matrix(table: FeatureTable, terms: TermSet) -> np.ndarray:
 
 
 def evaluate_surface(model: PolySurfaceModel, x, y):
-    """Evaluate sum of c * x**m * y**n; broadcasts over array inputs."""
+    """Evaluate sum of c * x**m * y**n; broadcasts over array inputs.
+
+    Scalars are evaluated as 0-d arrays, so a point gives the same bits
+    whether it is passed alone or inside a grid: both take ``x ** m``
+    through the ``np.power`` ufunc.  ``np.float64`` scalar or Python float
+    powers do not match it bit for bit and must not replace it.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast(x, y).shape)
@@ -251,6 +260,16 @@ def _require_rows(X: np.ndarray, terms: TermSet) -> None:
         )
 
 
+def _pivoted_qr(X: np.ndarray):
+    """Economic column-pivoted QR of X: (Q, R, pivot, numerical rank)."""
+    from scipy import linalg
+
+    q, r, piv = linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    return q, r, piv, int(np.count_nonzero(diag > tol))
+
+
 def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet):
     """Least-squares solve via column-pivoted QR.
 
@@ -258,11 +277,10 @@ def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet):
     work.  Raises RankError naming the dependent columns when the matrix
     does not have full column rank.
     """
-    n, p = X.shape
-    q, r, piv = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.count_nonzero(diag > tol))
+    from scipy import linalg
+
+    p = X.shape[1]
+    q, r, piv, rank = _pivoted_qr(X)
     if rank < p:
         dependent = tuple(terms.labels()[j] for j in piv[rank:])
         raise RankError(
@@ -283,6 +301,8 @@ def _wls_solve(X, z, w, terms):
 
 def _unscaled_covariance(r: np.ndarray, piv: np.ndarray) -> np.ndarray:
     """(X'X)^-1 (or its weighted analogue) from a pivoted QR factor."""
+    from scipy import linalg
+
     p = r.shape[1]
     rinv = linalg.solve_triangular(r, np.eye(p))
     cov_pivoted = rinv @ rinv.T
@@ -293,13 +313,17 @@ def _unscaled_covariance(r: np.ndarray, piv: np.ndarray) -> np.ndarray:
 
 def _weighted_factor(X, weights, terms):
     sw = np.sqrt(weights)
-    Xw = X * sw[:, None]
-    q, r, piv = linalg.qr(Xw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(Xw.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    if int(np.count_nonzero(diag > tol)) < X.shape[1]:
+    _, r, piv, rank = _pivoted_qr(X * sw[:, None])
+    if rank < X.shape[1]:
         return None
     return r, piv
+
+
+def _t_quantile(level: float, df: int) -> float:
+    """Two-sided Student-t critical value for a confidence level."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.5 + level / 2.0))
 
 
 def _mad_sigma(residuals: np.ndarray) -> float:
@@ -340,7 +364,7 @@ def _finish_model(
             # fall back to the unweighted design
             factor = _weighted_factor(X, np.ones(n), terms)
         se = sigma * np.sqrt(np.maximum(np.diag(_unscaled_covariance(*factor)), 0.0))
-        tq = float(stats.t.ppf(0.5 + confidence_level / 2.0, n - p))
+        tq = _t_quantile(confidence_level, n - p)
         bounds = tuple(
             (float(c - tq * s), float(c + tq * s))
             for c, s in zip(coefficients, se)
@@ -396,7 +420,8 @@ def _lar_iterate(X, y, beta, floor, terms, opts):
         except RankError:
             break
         solves += 1
-        obj = float(np.sum(np.abs(y - X @ candidate)))
+        candidate_residuals = y - X @ candidate
+        obj = float(np.sum(np.abs(candidate_residuals)))
         if obj > best_obj * (1.0 + 1e-12):
             # reweighting stopped paying off; keep the best iterate
             break
@@ -405,7 +430,7 @@ def _lar_iterate(X, y, beta, floor, terms, opts):
             best_obj, best_beta = obj, candidate
         step = float(np.max(np.abs(candidate - beta)))
         scale = max(float(np.max(np.abs(candidate))), np.finfo(float).tiny)
-        residuals = y - X @ candidate
+        residuals = candidate_residuals
         beta = candidate
         if step <= opts.tolerance * scale:
             converged = True
@@ -556,7 +581,7 @@ def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
     if factor is None:
         raise RankError("design matrix is rank deficient")
     se = model.sigma * np.sqrt(np.maximum(np.diag(_unscaled_covariance(*factor)), 0.0))
-    tq = float(stats.t.ppf(0.5 + level / 2.0, n - p))
+    tq = _t_quantile(level, n - p)
     return tuple(
         (float(c - tq * s), float(c + tq * s))
         for c, s in zip(model.coefficients, se)
@@ -607,8 +632,27 @@ def model_to_document(model: PolySurfaceModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; booleans, strings and null are rejected."""
+    if type(value) is not float and type(value) is not int:
+        raise FormatError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str) -> int:
+    """A JSON non-negative integer; 2.0, 2.7 and true are rejected."""
+    if type(value) is not int or value < 0:
+        raise FormatError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def model_from_document(text: str) -> PolySurfaceModel:
-    """Parse a model document; raises FormatError on anything malformed."""
+    """Parse a model document; raises FormatError on anything malformed.
+
+    Fields are checked for type and range rather than coerced: ``converged``
+    must be a boolean, ``sigma`` a number >= 0, and ``n_points``,
+    ``iterations`` and the term exponents non-negative integers.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -616,16 +660,24 @@ def model_from_document(text: str) -> PolySurfaceModel:
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
     try:
-        terms = TermSet(tuple((int(m), int(n)) for m, n in doc["terms"]))
+        terms = TermSet(tuple((_count(m, "term exponent"), _count(n, "term exponent"))
+                              for m, n in doc["terms"]))
+        sigma = _number(doc["sigma"], "sigma")
+        if not sigma >= 0.0:
+            raise FormatError(f"sigma must be >= 0, got {sigma!r}")
+        converged = doc["converged"]
+        if type(converged) is not bool:
+            raise FormatError(f"converged must be true or false, got {converged!r}")
         return PolySurfaceModel(
             term_set=terms,
-            coefficients=tuple(float(c) for c in doc["coefficients"]),
-            bounds=tuple((float(lo), float(hi)) for lo, hi in doc["bounds"]),
-            method=str(doc["method"]),
-            n_points=int(doc["n_points"]),
-            sigma=float(doc["sigma"]),
-            iterations=int(doc["iterations"]),
-            converged=bool(doc["converged"]),
+            coefficients=tuple(_number(c, "coefficient") for c in doc["coefficients"]),
+            bounds=tuple((_number(lo, "bound"), _number(hi, "bound"))
+                         for lo, hi in doc["bounds"]),
+            method=doc["method"],
+            n_points=_count(doc["n_points"], "n_points"),
+            sigma=sigma,
+            iterations=_count(doc["iterations"], "iterations"),
+            converged=converged,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model document is malformed: {exc}") from exc

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver and its artifacts."""
 
 import datetime as dt
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -288,3 +289,27 @@ class TestProcessEntryPoint:
         )
         assert proc.returncode == 0
         assert "decompose" in proc.stdout
+
+    @staticmethod
+    def _fresh_modules(code):
+        """Names in sys.modules after running ``code`` in a new interpreter."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return set(proc.stdout.split())
+
+    def test_import_does_not_load_scipy_stats(self):
+        assert "scipy.stats" not in self._fresh_modules("import volfit")
+
+    def test_predict_loads_no_scipy(self, tmp_path):
+        doc = tmp_path / "model.json"
+        TestPredictCommand()._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
+        modules = self._fresh_modules(
+            f"import volfit.cli\nvolfit.cli.main(['predict', {str(doc)!r}, '3', '4'])"
+        )
+        assert "volfit.cli" in modules
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)

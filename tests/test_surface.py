@@ -1,5 +1,6 @@
 """Tests for feature construction and the three surface-fitting methods."""
 
+import json
 import math
 
 import numpy as np
@@ -521,3 +522,38 @@ class TestModelDocuments:
     def test_non_object_document(self):
         with pytest.raises(FormatError):
             vf.model_from_document("[1, 2, 3]")
+
+    @pytest.fixture
+    def document(self):
+        rng = np.random.default_rng(23)
+        terms = vf.DEFAULT_TERM_SETS["volatility"]
+        table = planted_table(terms, rng.normal(0, 1, len(terms)), 40, rng, noise=0.1)
+        return json.loads(vf.model_to_document(vf.fit_ols(table, terms)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("converged", "false"),
+        ("converged", 0),
+        ("sigma", -0.5),
+        ("sigma", "0.1"),
+        ("n_points", -40),
+        ("n_points", 40.0),
+        ("iterations", 2.7),
+        ("iterations", -1),
+        ("iterations", True),
+        ("method", ["ols"]),
+        ("terms", [[0, 0], [0, 1], [0, 2], [1, 0], [1.5, 1]]),
+    ])
+    def test_mistyped_or_out_of_range_field(self, document, field, value):
+        document[field] = value
+        with pytest.raises(FormatError):
+            vf.model_from_document(json.dumps(document))
+
+    def test_string_coefficient_rejected(self, document):
+        document["coefficients"][0] = repr(document["coefficients"][0])
+        with pytest.raises(FormatError):
+            vf.model_from_document(json.dumps(document))
+
+    def test_valid_document_still_accepted(self, document):
+        model = vf.model_from_document(json.dumps(document))
+        assert model.converged is True
+        assert model.iterations == 0
