@@ -29,19 +29,6 @@ from .decompose import DecomposedSeries, decompose, log_returns
 from .errors import ExclusionError, VolfitError
 from .ingest import PipelineConfig, load_config, parse_price_csv
 
-FIT_FUNCTIONS = {
-    "ols": lambda table, terms, config: sf.fit_ols(
-        table, terms, confidence_level=config.confidence_level
-    ),
-    "lar": lambda table, terms, config: sf.fit_lar(
-        table, terms, confidence_level=config.confidence_level
-    ),
-    "bisquare": lambda table, terms, config: sf.fit_bisquare(
-        table, terms, confidence_level=config.confidence_level
-    ),
-}
-
-
 def _csv_text(header: str, columns) -> str:
     """CSV text: the header line, then one line per row of the cell columns.
 
@@ -128,6 +115,12 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
         raise
 
 
+def _decompose_prices(raw_prices: str, config: PipelineConfig) -> DecomposedSeries:
+    """Parse the price CSV, take log returns and decompose them."""
+    prices = parse_price_csv(raw_prices, config)
+    return decompose(log_returns(prices), config.kz_trend, config.kz_seasonal)
+
+
 def run_pipeline(raw_prices: str, config: PipelineConfig):
     """Shared fit pipeline over all four series.
 
@@ -135,16 +128,15 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
     training outliers and refit, and report both RMSE modes.  Test rows
     are never excluded.
     """
-    prices = parse_price_csv(raw_prices, config)
-    returns = log_returns(prices)
-    dec = decompose(returns, config.kz_trend, config.kz_seasonal)
-    fit = FIT_FUNCTIONS[config.fit_method]
+    dec = _decompose_prices(raw_prices, config)
+    # looked up at call time, so that wrappers put on surface.fit_<method> apply
+    fit = getattr(sf, f"fit_{config.fit_method}")
     results = {}
     for name in sf.SERIES_NAMES:
         terms = config.term_sets[name]
         table = sf.build_feature_table(dec.component(name), config.feature_spec)
         train, test = ev.split_train_test(table, config.n_train)
-        model = fit(train, terms, config)
+        model = fit(train, terms, confidence_level=config.confidence_level)
         try:
             kept, excluded = sf.remove_outliers(
                 train, model, config.outlier_threshold
@@ -152,7 +144,7 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
         except ExclusionError:
             kept, excluded = train, ()
         if excluded:
-            model = fit(kept, terms, config)
+            model = fit(kept, terms, confidence_level=config.confidence_level)
         report = ev.fit_report(name, config.fit_method, model, kept, test, excluded)
         results[name] = {
             "table": table,
@@ -165,9 +157,7 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
 
 
 def _cmd_decompose(args) -> int:
-    raw_prices, config = _load_inputs(args)
-    prices = parse_price_csv(raw_prices, config)
-    dec = decompose(log_returns(prices), config.kz_trend, config.kz_seasonal)
+    dec = _decompose_prices(*_load_inputs(args))
     _write_artifacts(_out_dir(args), {"decomposition.csv": decomposition_csv(dec)})
     return 0
 

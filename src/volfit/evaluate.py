@@ -14,9 +14,13 @@ import numpy as np
 
 from .errors import DegreesOfFreedomError, FormatError, SplitError
 from .surface import (
+    FIT_METHODS,
     SERIES_NAMES,
     FeatureTable,
     PolySurfaceModel,
+    _count,
+    _flag,
+    _number,
     evaluate_surface,
 )
 
@@ -50,8 +54,10 @@ class FitReport:
     def __post_init__(self):
         if self.series_name not in SERIES_NAMES:
             raise ValueError(f"unknown series name {self.series_name!r}")
-        if self.train_rmse < 0 or self.test_rmse < 0:
-            raise ValueError("RMSE values cannot be negative")
+        if self.method not in FIT_METHODS:
+            raise ValueError(f"unknown fit method {self.method!r}")
+        if not (self.train_rmse >= 0 and self.test_rmse >= 0):
+            raise ValueError("RMSE values must be non-negative numbers")
         object.__setattr__(self, "excluded", tuple(int(t) for t in self.excluded))
 
 
@@ -123,17 +129,22 @@ def report_to_document(report: FitReport) -> str:
 
 
 def report_from_document(text: str) -> FitReport:
+    """Parse a report document; raises FormatError on anything malformed.
+
+    Fields are checked for type and range rather than coerced, as in
+    ``model_from_document``.
+    """
     try:
         doc = json.loads(text)
         return FitReport(
             series_name=doc["series_name"],
             method=doc["method"],
-            train_rmse=float(doc["train_rmse"]),
-            test_rmse=float(doc["test_rmse"]),
-            n_train=int(doc["n_train"]),
-            n_test=int(doc["n_test"]),
-            excluded=tuple(int(t) for t in doc["excluded"]),
-            converged=bool(doc["converged"]),
+            train_rmse=_number(doc["train_rmse"], "train_rmse"),
+            test_rmse=_number(doc["test_rmse"], "test_rmse"),
+            n_train=_count(doc["n_train"], "n_train"),
+            n_test=_count(doc["n_test"], "n_test"),
+            excluded=tuple(_count(t, "excluded index") for t in doc["excluded"]),
+            converged=_flag(doc["converged"], "converged"),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"report document is malformed: {exc}") from exc

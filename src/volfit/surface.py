@@ -252,14 +252,6 @@ def evaluate_surface(model: PolySurfaceModel, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _require_rows(X: np.ndarray, terms: TermSet) -> None:
-    n, p = X.shape
-    if n < p:
-        raise InsufficientData(
-            f"{n} rows cannot determine {p} terms ({', '.join(terms.labels())})"
-        )
-
-
 def _pivoted_qr(X: np.ndarray):
     """Economic column-pivoted QR of X: (Q, R, pivot, numerical rank)."""
     from scipy import linalg
@@ -273,8 +265,8 @@ def _pivoted_qr(X: np.ndarray):
 def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet):
     """Least-squares solve via column-pivoted QR.
 
-    Returns the coefficient vector and the (R, pivot) pair for covariance
-    work.  Raises RankError naming the dependent columns when the matrix
+    Returns the coefficient vector and the (R, pivot) pair of the
+    factorization.  Raises RankError naming the dependent columns when the matrix
     does not have full column rank.
     """
     from scipy import linalg
@@ -299,33 +291,6 @@ def _wls_solve(X, z, w, terms):
     return _qr_solve(X * sw[:, None], z * sw, terms)
 
 
-def _unscaled_covariance(r: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    """(X'X)^-1 (or its weighted analogue) from a pivoted QR factor."""
-    from scipy import linalg
-
-    p = r.shape[1]
-    rinv = linalg.solve_triangular(r, np.eye(p))
-    cov_pivoted = rinv @ rinv.T
-    cov = np.empty_like(cov_pivoted)
-    cov[np.ix_(piv, piv)] = cov_pivoted
-    return cov
-
-
-def _weighted_factor(X, weights, terms):
-    sw = np.sqrt(weights)
-    _, r, piv, rank = _pivoted_qr(X * sw[:, None])
-    if rank < X.shape[1]:
-        return None
-    return r, piv
-
-
-def _t_quantile(level: float, df: int) -> float:
-    """Two-sided Student-t critical value for a confidence level."""
-    from scipy.special import stdtrit
-
-    return float(stdtrit(df, 0.5 + level / 2.0))
-
-
 def _mad_sigma(residuals: np.ndarray) -> float:
     """Robust scale: median absolute deviation about the median, normalized."""
     med = np.median(residuals)
@@ -338,6 +303,34 @@ def bisquare_weights(u) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
 
 
+def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
+             coefficients, level: float) -> tuple[tuple[float, float], ...]:
+    """Student-t intervals c +- t_{1-(1-level)/2, n-p} * se(c).
+
+    se comes from sigma^2 (X'WX)^-1 with W = diag(weights), or the identity
+    if the weights leave X rank deficient.
+    """
+    from scipy import linalg
+    from scipy.special import stdtrit
+
+    n, p = X.shape
+    for w in (weights, np.ones(n)):
+        _, r, piv, rank = _pivoted_qr(X * np.sqrt(w)[:, None])
+        if rank == p:
+            break
+    else:
+        raise RankError("design matrix is rank deficient")
+    rinv = linalg.solve_triangular(r, np.eye(p))
+    variance = np.empty(p)
+    variance[piv] = np.diag(rinv @ rinv.T)
+    se = sigma * np.sqrt(np.maximum(variance, 0.0))
+    tq = float(stdtrit(n - p, 0.5 + level / 2.0))
+    return tuple(
+        (float(c - tq * s), float(c + tq * s))
+        for c, s in zip(coefficients, se)
+    )
+
+
 def _finish_model(
     method: str,
     table: FeatureTable,
@@ -348,30 +341,18 @@ def _finish_model(
     iterations: int,
     converged: bool,
     confidence_level: float,
-    factor=None,
 ) -> PolySurfaceModel:
     """Assemble the model record: sigma, t-based bounds, bookkeeping."""
     n, p = X.shape
     residuals = table.target - X @ beta
     sse = float(residuals @ residuals)
-    sigma = math.sqrt(sse / (n - p)) if n > p else 0.0
     coefficients = tuple(float(b) for b in beta)
     if n > p:
-        if factor is None:
-            factor = _weighted_factor(X, weights, terms)
-        if factor is None:
-            # weights annihilated too many rows for a covariance estimate;
-            # fall back to the unweighted design
-            factor = _weighted_factor(X, np.ones(n), terms)
-        se = sigma * np.sqrt(np.maximum(np.diag(_unscaled_covariance(*factor)), 0.0))
-        tq = _t_quantile(confidence_level, n - p)
-        bounds = tuple(
-            (float(c - tq * s), float(c + tq * s))
-            for c, s in zip(coefficients, se)
-        )
+        sigma = math.sqrt(sse / (n - p))
+        bounds = _t_bounds(X, weights, sigma, coefficients, confidence_level)
     else:
         # interpolating fit: zero residual degrees of freedom, point bounds
-        bounds = tuple((c, c) for c in coefficients)
+        sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
     return PolySurfaceModel(
         term_set=terms,
         coefficients=coefficients,
@@ -385,19 +366,52 @@ def _finish_model(
     )
 
 
+def _ols_start(table: FeatureTable, terms: TermSet):
+    """Design matrix and ordinary least-squares solution every fit starts from."""
+    X = design_matrix(table, terms)
+    n, p = X.shape
+    if n < p:
+        raise InsufficientData(
+            f"{n} rows cannot determine {p} terms ({', '.join(terms.labels())})"
+        )
+    beta, _ = _qr_solve(X, table.target, terms)
+    return X, beta
+
+
+def _lar_floor(residuals: np.ndarray, p: int, lar_floor: float) -> float:
+    """lar_floor times the sigma of the OLS start's residuals; 0 if it interpolates."""
+    n = residuals.size
+    sse = float(residuals @ residuals)
+    if n == p or sse == 0.0:
+        return 0.0
+    return lar_floor * math.sqrt(sse / (n - p))
+
+
+def _final_weights(method: str, residuals: np.ndarray, p: int,
+                   opts: IrlsOptions, floor: float) -> np.ndarray:
+    """The weights a fit of ``method`` ends with, given its final residuals."""
+    if method == "lar" and floor > 0.0:
+        return 1.0 / np.maximum(np.abs(residuals), floor)
+    ones = np.ones(residuals.size)
+    if method != "bisquare":
+        return ones
+    scale = _mad_sigma(residuals)
+    if scale == 0.0:
+        return ones
+    weights = bisquare_weights(residuals / (opts.bisquare_constant * scale))
+    return weights if np.count_nonzero(weights) >= p else ones
+
+
 def fit_ols(table: FeatureTable, terms: TermSet,
             confidence_level: float = 0.95) -> PolySurfaceModel:
     """Ordinary least squares via pivoted QR.
 
     Minimizes the summed squared residuals; sigma is sqrt(SSE / (n - p)).
     """
-    X = design_matrix(table, terms)
-    _require_rows(X, terms)
-    beta, factor = _qr_solve(X, table.target, terms)
+    X, beta = _ols_start(table, terms)
     return _finish_model(
         "ols", table, terms, X, beta, np.ones(len(table)),
-        iterations=0, converged=True,
-        confidence_level=confidence_level, factor=factor,
+        iterations=0, converged=True, confidence_level=confidence_level,
     )
 
 
@@ -450,23 +464,13 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     ``converged=False``.
     """
     opts = opts or IrlsOptions()
-    X = design_matrix(table, terms)
-    _require_rows(X, terms)
+    X, beta = _ols_start(table, terms)
     y = table.target
-    beta, factor = _qr_solve(X, y, terms)
-    n, p = X.shape
-    residuals = y - X @ beta
-    sse = float(residuals @ residuals)
-    if n == p or sse == 0.0:
-        # the starting point already interpolates; both objectives coincide
-        return _finish_model(
-            "lar", table, terms, X, beta, np.ones(n),
-            iterations=0, converged=True,
-            confidence_level=confidence_level, factor=factor,
-        )
-    floor = opts.lar_floor * math.sqrt(sse / (n - p))
-    beta, solves, converged, _ = _lar_iterate(X, y, beta, floor, terms, opts)
-    weights = 1.0 / np.maximum(np.abs(y - X @ beta), floor)
+    floor = _lar_floor(y - X @ beta, X.shape[1], opts.lar_floor)
+    solves, converged = 0, True
+    if floor > 0.0:
+        beta, solves, converged, _ = _lar_iterate(X, y, beta, floor, terms, opts)
+    weights = _final_weights("lar", y - X @ beta, X.shape[1], opts, floor)
     return _finish_model(
         "lar", table, terms, X, beta, weights,
         iterations=solves, converged=converged,
@@ -486,20 +490,11 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
     and the current iterate is returned as-is.
     """
     opts = opts or IrlsOptions()
-    X = design_matrix(table, terms)
-    _require_rows(X, terms)
+    X, beta = _ols_start(table, terms)
     y = table.target
-    beta, factor = _qr_solve(X, y, terms)
     n, p = X.shape
-    if n == p:
-        return _finish_model(
-            "bisquare", table, terms, X, beta, np.ones(n),
-            iterations=0, converged=True,
-            confidence_level=confidence_level, factor=factor,
-        )
-    converged = False
-    solves = 0
-    for _ in range(opts.max_iterations):
+    converged, solves = n == p, 0
+    while not converged and solves < opts.max_iterations:
         residuals = y - X @ beta
         scale = _mad_sigma(residuals)
         if scale == 0.0:
@@ -516,45 +511,13 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
         step = float(np.max(np.abs(candidate - beta)))
         ref = max(float(np.max(np.abs(candidate))), np.finfo(float).tiny)
         beta = candidate
-        if step <= opts.tolerance * ref:
-            converged = True
-            break
-    final_residuals = y - X @ beta
-    scale = _mad_sigma(final_residuals)
-    if scale > 0.0:
-        weights = bisquare_weights(
-            final_residuals / (opts.bisquare_constant * scale)
-        )
-        if np.count_nonzero(weights) < p:
-            weights = np.ones(n)
-    else:
-        weights = np.ones(n)
+        converged = step <= opts.tolerance * ref
+    weights = _final_weights("bisquare", y - X @ beta, p, opts, 0.0)
     return _finish_model(
         "bisquare", table, terms, X, beta, weights,
         iterations=solves, converged=converged,
         confidence_level=confidence_level,
     )
-
-
-def _reconstruct_weights(model: PolySurfaceModel, table: FeatureTable,
-                         X: np.ndarray) -> np.ndarray:
-    """Rebuild the final IRLS weights for a model lacking stored ones."""
-    n = len(table)
-    if model.method == "ols":
-        return np.ones(n)
-    residuals = table.target - X @ np.asarray(model.coefficients)
-    if model.method == "lar":
-        floor = IrlsOptions().lar_floor * model.sigma
-        if floor == 0.0:
-            return np.ones(n)
-        return 1.0 / np.maximum(np.abs(residuals), floor)
-    scale = _mad_sigma(residuals)
-    if scale == 0.0:
-        return np.ones(n)
-    weights = bisquare_weights(residuals / (IrlsOptions().bisquare_constant * scale))
-    if np.count_nonzero(weights) < len(model.term_set):
-        return np.ones(n)
-    return weights
 
 
 def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
@@ -563,29 +526,27 @@ def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
 
     bound = c +- t_{1-(1-level)/2, n-p} * se(c), with the standard errors
     taken from the diagonal of sigma^2 (X'WX)^-1 where W holds the final
-    IRLS weights (identity for ordinary least squares).
+    IRLS weights (identity for ordinary least squares).  A model read back
+    from its document carries no weights; they are rebuilt from the
+    table's residuals as a fit with default ``IrlsOptions`` ends, so the
+    stored bounds are reproduced exactly for such fits.  A fit run with
+    other options does not reproduce: for bisquare fits with
+    ``bisquare_constant=2.0`` on the bundled series the widths come back
+    16-21% off.
     """
     n, p = len(table), len(model.term_set)
     if n <= p:
         raise DegreesOfFreedomError(
             f"confidence bounds need more rows ({n}) than terms ({p})"
         )
-    X = design_matrix(table, model.term_set)
-    if model.weights is not None and len(model.weights) == n:
-        weights = np.asarray(model.weights, dtype=float)
-    else:
-        weights = _reconstruct_weights(model, table, X)
-    factor = _weighted_factor(X, weights, model.term_set)
-    if factor is None:
-        factor = _weighted_factor(X, np.ones(n), model.term_set)
-    if factor is None:
-        raise RankError("design matrix is rank deficient")
-    se = model.sigma * np.sqrt(np.maximum(np.diag(_unscaled_covariance(*factor)), 0.0))
-    tq = _t_quantile(level, n - p)
-    return tuple(
-        (float(c - tq * s), float(c + tq * s))
-        for c, s in zip(model.coefficients, se)
-    )
+    X, start = _ols_start(table, model.term_set)
+    weights = model.weights
+    if weights is None or len(weights) != n:
+        opts = IrlsOptions()
+        floor = _lar_floor(table.target - X @ start, p, opts.lar_floor)
+        residuals = table.target - X @ np.asarray(model.coefficients)
+        weights = _final_weights(model.method, residuals, p, opts, floor)
+    return _t_bounds(X, weights, model.sigma, model.coefficients, level)
 
 
 def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
@@ -646,6 +607,13 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _flag(value, name: str) -> bool:
+    """A JSON boolean; "false", 0 and null are rejected."""
+    if type(value) is not bool:
+        raise FormatError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def model_from_document(text: str) -> PolySurfaceModel:
     """Parse a model document; raises FormatError on anything malformed.
 
@@ -665,9 +633,6 @@ def model_from_document(text: str) -> PolySurfaceModel:
         sigma = _number(doc["sigma"], "sigma")
         if not sigma >= 0.0:
             raise FormatError(f"sigma must be >= 0, got {sigma!r}")
-        converged = doc["converged"]
-        if type(converged) is not bool:
-            raise FormatError(f"converged must be true or false, got {converged!r}")
         return PolySurfaceModel(
             term_set=terms,
             coefficients=tuple(_number(c, "coefficient") for c in doc["coefficients"]),
@@ -677,7 +642,7 @@ def model_from_document(text: str) -> PolySurfaceModel:
             n_points=_count(doc["n_points"], "n_points"),
             sigma=sigma,
             iterations=_count(doc["iterations"], "iterations"),
-            converged=converged,
+            converged=_flag(doc["converged"], "converged"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model document is malformed: {exc}") from exc

@@ -4,12 +4,14 @@ import datetime as dt
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import volfit as vf
+from volfit import surface
 from volfit.cli import export_plot_data, main, run_pipeline
 
 from helpers import planted_table
@@ -266,6 +268,37 @@ class TestExportPlotCommand:
         model = vf.fit_ols(table, terms)
         with pytest.raises(ValueError):
             export_plot_data(model, table, 1)
+
+
+class TestPipelineFits:
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_fits_go_through_the_surface_module(self, workspace, method, monkeypatch):
+        # wrappers installed on surface.fit_<method> (as the benchmark's
+        # tracer installs them) must see every fit the pipeline makes
+        calls = []
+        fit = getattr(surface, f"fit_{method}")
+
+        def counting(*args, **kwargs):
+            calls.append(method)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(surface, f"fit_{method}", counting)
+        config = replace(vf.load_config(SMALL_CONFIG), fit_method=method)
+        run_pipeline((workspace / "prices.csv").read_text(), config)
+        assert len(calls) >= 4
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_reloaded_bounds_equal_stored_bounds(self, method):
+        data = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
+        config = vf.PipelineConfig(fit_method=method)
+        _, results = run_pipeline(data.read_text(encoding="utf-8"), config)
+        for name in vf.SERIES_NAMES:
+            model = results[name]["model"]
+            loaded = vf.model_from_document(vf.model_to_document(model))
+            recomputed = vf.confidence_bounds(
+                loaded, results[name]["train"], config.confidence_level
+            )
+            assert recomputed == model.bounds, name
 
 
 class TestEvaluateCommand:

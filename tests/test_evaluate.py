@@ -1,5 +1,6 @@
 """Tests for splits, RMSE, fit reports, and coefficient-table emission."""
 
+import json
 import math
 
 import numpy as np
@@ -182,6 +183,27 @@ class TestFitReport:
     def test_malformed_report_document(self):
         with pytest.raises(FormatError):
             vf.report_from_document("{not json")
+
+    def test_unknown_method_rejected(self):
+        rng = np.random.default_rng(30)
+        table, train, test, model = self._fitted(50, 30, rng)
+        with pytest.raises(ValueError):
+            vf.fit_report("seasonal", "bogus", model, train, test, ())
+
+    @pytest.mark.parametrize("field, value", [
+        ("converged", "false"),
+        ("method", "bogus"),
+        ("n_train", -1),
+        ("train_rmse", float("nan")),
+    ])
+    def test_mistyped_or_out_of_range_field(self, field, value):
+        rng = np.random.default_rng(31)
+        table, train, test, model = self._fitted(50, 30, rng)
+        report = vf.fit_report("seasonal", "ols", model, train, test, (3, 9))
+        document = json.loads(vf.report_to_document(report))
+        document[field] = value
+        with pytest.raises(FormatError):
+            vf.report_from_document(json.dumps(document))
 
 
 class TestCoefficientTable:

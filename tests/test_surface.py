@@ -378,6 +378,17 @@ class TestConfidenceBounds:
                 assert lo1 == pytest.approx(lo2, rel=1e-6, abs=1e-9)
                 assert hi1 == pytest.approx(hi2, rel=1e-6, abs=1e-9)
 
+    def test_reloaded_lar_bounds_equal_stored_bounds(self):
+        # the reload floors LAR weights at lar_floor times the sigma of the
+        # OLS start, as the fit did, not at the final sigma
+        rng = np.random.default_rng(1)
+        terms = vf.DEFAULT_TERM_SETS["volatility"]
+        table = planted_table(terms, rng.normal(0, 1, len(terms)), 30, rng)
+        table = make_table(table.x, table.y, table.target + 0.1 * rng.standard_t(2, 30))
+        model = vf.fit_lar(table, terms, vf.IrlsOptions(max_iterations=500))
+        loaded = vf.model_from_document(vf.model_to_document(model))
+        assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
+
 
 class TestEvaluateSurface:
     def _model(self, terms, coefficients):
