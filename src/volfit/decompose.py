@@ -99,7 +99,8 @@ def moving_average_pass(series, window: int) -> np.ndarray:
 
     The window sum accumulates contributions in ascending index order so
     the result is bit-identical to a plain left-to-right sum over each
-    window.
+    window.  The window counts are small integers, so taking them as
+    differences of a running count is exact.
     """
     if window < 1 or window % 2 == 0:
         raise WindowError(f"window must be odd and >= 1, got {window}")
@@ -112,21 +113,19 @@ def moving_average_pass(series, window: int) -> np.ndarray:
     k = (window - 1) // 2
     missing = np.isnan(values)
     filled = np.where(missing, 0.0, values)
-    present = np.where(missing, 0.0, 1.0)
+    running = np.concatenate(([0.0], np.cumsum(~missing, dtype=float)))
+    index = np.arange(n)
+    count = running[np.minimum(index + k + 1, n)] - running[np.maximum(index - k, 0)]
     total = np.zeros(n)
-    count = np.zeros(n)
     for offset in range(-k, k + 1):
         if offset < 0:
             if -offset < n:
                 total[-offset:] += filled[:offset]
-                count[-offset:] += present[:offset]
         elif offset == 0:
             total += filled
-            count += present
         else:
             if offset < n:
                 total[:-offset] += filled[offset:]
-                count[:-offset] += present[offset:]
     out = np.full(n, np.nan)
     np.divide(total, count, out=out, where=count > 0)
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -207,8 +208,10 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
     recorded as missing.
     """
     config = config or PipelineConfig()
-    rows = [row for row in csv.reader(io.StringIO(raw_text))]
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    # row numbers count non-blank rows, the header being row 1
+    rows = [
+        row for row in csv.reader(io.StringIO(raw_text)) if any(map(str.strip, row))
+    ]
     if not rows:
         raise FormatError("price file is empty")
     header = [cell.strip().lstrip("﻿") for cell in rows[0]]
@@ -218,11 +221,12 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
         raise FormatError(f"no Date column in header {header}")
     date_idx = header.index("Date")
     price_idx = header.index(_pick_price_column(header, config))
+    min_cells = max(date_idx, price_idx) + 1
 
     dates: list[dt.date] = []
     values: list[float] = []
     for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) <= max(date_idx, price_idx):
+        if len(row) < min_cells:
             raise ParseError(f"row {rownum} has too few cells", row=rownum)
         try:
             date = dt.date.fromisoformat(row[date_idx].strip())
@@ -236,7 +240,7 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
             )
         cell = row[price_idx].strip()
         if cell in MISSING_MARKERS:
-            value = float("nan")
+            value = math.nan
         else:
             try:
                 value = float(cell)
@@ -244,7 +248,7 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
                 raise ParseError(
                     f"row {rownum}: cannot parse price {cell!r}", row=rownum
                 ) from exc
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(
                     f"row {rownum}: price {cell!r} is not finite", row=rownum
                 )

@@ -9,13 +9,14 @@ run as iteratively reweighted least squares seeded by the ordinary
 solution; all solves go through a pivoted QR factorization rather than
 normal equations.
 
-``scipy.linalg`` and ``scipy.special`` are imported by the functions that
-fit and bound a surface, not at module level, so that evaluating a saved
-model loads numpy only.
+scipy's LAPACK wrappers and ``scipy.special`` are imported by the
+functions that fit and bound a surface, not at module level, so that
+evaluating a saved model loads numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -252,27 +253,69 @@ def evaluate_surface(model: PolySurfaceModel, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _pivoted_qr(X: np.ndarray):
-    """Economic column-pivoted QR of X: (Q, R, pivot, numerical rank)."""
-    from scipy import linalg
+@functools.cache
+def _lapack():
+    """The float64 LAPACK routines (geqp3, orgqr, trtrs), fetched on first use."""
+    from scipy.linalg.lapack import get_lapack_funcs
 
-    q, r, piv = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    return get_lapack_funcs(("geqp3", "orgqr", "trtrs"), dtype=np.float64)
+
+
+def _with_workspace(routine, *args, **kwargs):
+    """Call a LAPACK routine with the workspace size it asks for.
+
+    This is scipy's ``safecall``: a query with ``lwork=-1`` first, because
+    the workspace size sets LAPACK's blocking and so the result's bits.
+    """
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    *out, info = routine(*args, lwork=int(work[0]), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
+    return out[:-1]
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _pivoted_qr(X: np.ndarray):
+    """Column-pivoted QR of X: (qr, tau, pivot, numerical rank).
+
+    ``qr`` is a Fortran-ordered copy of X overwritten by LAPACK's geqp3:
+    R in its upper triangle, the Householder reflectors below it.  These
+    are the calls ``scipy.linalg.qr(X, mode="economic", pivoting=True)``
+    makes, so R and the pivot have its bits.
+    """
+    _require_finite(X)
+    a = np.array(X, dtype=float, order="F")
+    qr, pivot, tau = _with_workspace(_lapack()[0], a, overwrite_a=1)
+    pivot -= 1
+    diag = np.abs(np.diagonal(qr))
     tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    return q, r, piv, int(np.count_nonzero(diag > tol))
+    return qr, tau, pivot, int(np.count_nonzero(diag > tol))
+
+
+def _r_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve R x = b for the upper triangle R of the C-ordered ``r``.
+
+    The call ``scipy.linalg.solve_triangular`` makes for a C-ordered R;
+    the entries below the diagonal are never read.
+    """
+    x, _ = _lapack()[2](r.T, b, lower=1, trans=1)
+    return x
 
 
 def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet):
     """Least-squares solve via column-pivoted QR.
 
     Returns the coefficient vector and the (R, pivot) pair of the
-    factorization.  Raises RankError naming the dependent columns when the matrix
-    does not have full column rank.
+    factorization; only R's upper triangle is meaningful.  Raises RankError
+    naming the dependent columns when the matrix does not have full column
+    rank, and ValueError when X or z holds a NaN or an infinity.
     """
-    from scipy import linalg
-
     p = X.shape[1]
-    q, r, piv, rank = _pivoted_qr(X)
+    qr, tau, piv, rank = _pivoted_qr(X)
     if rank < p:
         dependent = tuple(terms.labels()[j] for j in piv[rank:])
         raise RankError(
@@ -280,9 +323,14 @@ def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet):
             + ", ".join(dependent),
             columns=dependent,
         )
-    beta_pivoted = linalg.solve_triangular(r, q.T @ z)
+    # an explicit copy: orgqr overwrites qr, and for p = 1 the slice is
+    # already contiguous, so np.ascontiguousarray would return a view
+    r = np.array(qr[:p], order="C")
+    q, = _with_workspace(_lapack()[1], qr, tau, overwrite_a=1)
+    qtz = q.T @ z
+    _require_finite(qtz)
     beta = np.empty(p)
-    beta[piv] = beta_pivoted
+    beta[piv] = _r_solve(r, qtz)
     return beta, (r, piv)
 
 
@@ -310,17 +358,16 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
     se comes from sigma^2 (X'WX)^-1 with W = diag(weights), or the identity
     if the weights leave X rank deficient.
     """
-    from scipy import linalg
     from scipy.special import stdtrit
 
     n, p = X.shape
     for w in (weights, np.ones(n)):
-        _, r, piv, rank = _pivoted_qr(X * np.sqrt(w)[:, None])
+        qr, _, piv, rank = _pivoted_qr(X * np.sqrt(w)[:, None])
         if rank == p:
             break
     else:
         raise RankError("design matrix is rank deficient")
-    rinv = linalg.solve_triangular(r, np.eye(p))
+    rinv = _r_solve(np.array(qr[:p], order="C"), np.eye(p))
     variance = np.empty(p)
     variance[piv] = np.diag(rinv @ rinv.T)
     se = sigma * np.sqrt(np.maximum(variance, 0.0))

@@ -1,14 +1,137 @@
 """Tests for CSV ingestion, configuration parsing, and series validation."""
 
+import csv
 import datetime as dt
+import io
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import volfit as vf
 from volfit.errors import ConfigError, FormatError, OrderError, ParseError
+from volfit.ingest import MISSING_MARKERS, _pick_price_column
 
+BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
 SAMPLE = "Date,Close\n2011-01-03,100.0\n2011-01-04,110.0\n"
+
+
+def reference_parse_price_csv(raw_text, config=None):
+    """The parser as first written, with a per-row np.isfinite; the oracle."""
+    config = config or vf.PipelineConfig()
+    rows = [row for row in csv.reader(io.StringIO(raw_text))]
+    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise FormatError("price file is empty")
+    header = [cell.strip().lstrip("\ufeff") for cell in rows[0]]
+    if len(rows) == 1:
+        raise FormatError("price file has a header but no data rows")
+    if "Date" not in header:
+        raise FormatError(f"no Date column in header {header}")
+    date_idx = header.index("Date")
+    price_idx = header.index(_pick_price_column(header, config))
+    dates, values = [], []
+    for rownum, row in enumerate(rows[1:], start=2):
+        if len(row) <= max(date_idx, price_idx):
+            raise ParseError(f"row {rownum} has too few cells", row=rownum)
+        try:
+            date = dt.date.fromisoformat(row[date_idx].strip())
+        except ValueError as exc:
+            raise ParseError(
+                f"row {rownum}: bad date {row[date_idx]!r}: {exc}", row=rownum
+            ) from exc
+        if dates and date <= dates[-1]:
+            raise OrderError(
+                f"row {rownum}: date {date} does not increase past {dates[-1]}"
+            )
+        cell = row[price_idx].strip()
+        if cell in MISSING_MARKERS:
+            value = float("nan")
+        else:
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise ParseError(
+                    f"row {rownum}: cannot parse price {cell!r}", row=rownum
+                ) from exc
+            if not np.isfinite(value):
+                raise ParseError(
+                    f"row {rownum}: price {cell!r} is not finite", row=rownum
+                )
+        dates.append(date)
+        values.append(value)
+    return vf.PriceSeries(tuple(dates), np.array(values))
+
+
+HEADERS = ["Date,Close", "\ufeffDate,Close", " Date , Close ", "Close,Date",
+           "Date,Open,High,Low,Close,Adj Close,Volume"]
+BAD_HEADERS = ["Day,Close", "Date,Open", ""]
+PRICE_CELLS = ["100.5", " 12.25 ", "0", "-3.5", "1e-300", "null", "NaN", "", "  ", " null "]
+BAD_PRICE_CELLS = ["1e400", "nan", "inf", "-Infinity", "12x", "None"]
+BLANK_ROWS = ["", "   ", ",", " , ", "\t,"]
+BAD_DATES = ["2011-13-01", "2011-02-30", "x", "", "03/01/2011"]
+
+
+def _rare(main, rare):
+    """Mostly draws from ``main``, one time in ten from ``rare``."""
+    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(rare if i == 9 else main))
+
+
+@st.composite
+def price_files(draw):
+    """CSV text that mixes valid rows with every kind of defect."""
+    header = draw(_rare(HEADERS, BAD_HEADERS))
+    width = max(len(header.split(",")), 2)
+    lines = [header]
+    day = dt.date(2011, 1, 3)
+    for _ in range(draw(st.integers(0, 15))):
+        kind = draw(_rare(["row"] * 4 + ["blank"], ["short", "bad_date", "back"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(BLANK_ROWS)))
+            continue
+        if kind == "short":
+            lines.append(day.isoformat())
+            continue
+        step = -draw(st.integers(0, 3)) if kind == "back" else draw(st.integers(1, 4))
+        day += dt.timedelta(days=step)
+        date = day.isoformat()
+        if kind == "bad_date":
+            date = draw(st.sampled_from(BAD_DATES))
+        elif draw(st.booleans()):
+            date = f" {date} "
+        cells = [draw(_rare(PRICE_CELLS, BAD_PRICE_CELLS)) for _ in range(width)]
+        cells[0] = date
+        if header.startswith("Close"):
+            cells[:2] = cells[1::-1]
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse, text, config):
+    try:
+        series = parse(text, config)
+    except Exception as exc:  # noqa: BLE001 - the outcome is the comparison
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return series.dates, series.values.tobytes()
+
+
+class TestParserOracle:
+    @given(text=price_files(), column=st.sampled_from([None, "Close", "Open"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_parser(self, text, column):
+        config = vf.PipelineConfig(price_column=column)
+        assert _outcome(vf.parse_price_csv, text, config) == _outcome(
+            reference_parse_price_csv, text, config
+        )
+
+    def test_bundled_file_matches_reference_parser(self):
+        text = BUNDLED.read_text()
+        assert _outcome(vf.parse_price_csv, text, None) == _outcome(
+            reference_parse_price_csv, text, None
+        )
 
 
 class TestParsePriceCsv:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, special, stats
 
 import volfit as vf
 from volfit.errors import (
@@ -15,7 +15,7 @@ from volfit.errors import (
     InsufficientData,
     RankError,
 )
-from volfit.surface import _lar_iterate, _qr_solve
+from volfit.surface import _lar_iterate, _pivoted_qr, _qr_solve, _t_bounds, _wls_solve
 
 from helpers import make_table, planted_table
 
@@ -388,6 +388,137 @@ class TestConfidenceBounds:
         model = vf.fit_lar(table, terms, vf.IrlsOptions(max_iterations=500))
         loaded = vf.model_from_document(vf.model_to_document(model))
         assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
+
+
+def _scipy_qr_solve(X, z):
+    """The solve as scipy.linalg spells it; the oracle for the LAPACK kernel.
+
+    Returns (beta, R, pivot, rank), with rank taken by the kernel's own rule.
+    """
+    q, r, piv = linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    rank = int(np.count_nonzero(diag > tol))
+    if rank < X.shape[1]:
+        return None, r, piv, rank
+    beta = np.empty(X.shape[1])
+    beta[piv] = linalg.solve_triangular(r, q.T @ z)
+    return beta, r, piv, rank
+
+
+def _scipy_t_bounds(X, weights, sigma, coefficients, level):
+    """Student-t bounds from scipy's pivoted QR and triangular solve."""
+    n, p = X.shape
+    for w in (weights, np.ones(n)):
+        _, r, piv, rank = _scipy_qr_solve(X * np.sqrt(w)[:, None], np.zeros(n))
+        if rank == p:
+            break
+    rinv = linalg.solve_triangular(r, np.eye(p))
+    variance = np.empty(p)
+    variance[piv] = np.diag(rinv @ rinv.T)
+    se = sigma * np.sqrt(np.maximum(variance, 0.0))
+    tq = float(special.stdtrit(n - p, 0.5 + level / 2.0))
+    return tuple((float(c - tq * s), float(c + tq * s)) for c, s in zip(coefficients, se))
+
+
+def _random_design(rng, n, p):
+    """Polynomial columns of uneven scale, as the fits see them."""
+    x = np.linspace(1.0 / n, 1.0, n)
+    y = rng.standard_t(3, n) * 0.01
+    terms = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2),
+             (2, 1), (3, 0), (3, 1), (4, 0), (5, 0)][:p]
+    X = np.column_stack([x ** m * y ** k for m, k in terms])
+    return X, vf.TermSet(tuple(terms))
+
+
+class TestQrKernel:
+    """The direct LAPACK calls keep scipy.linalg's bits exactly."""
+
+    SHAPES = [(1, 1), (40, 1), (5, 5), (11, 11), (60, 5), (300, 5), (300, 11), (2000, 11)]
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_solve_matches_scipy_bit_for_bit(self, n, p):
+        rng = np.random.default_rng(1000 * n + p)
+        for trial in range(5):
+            X, terms = _random_design(rng, n, p)
+            if trial % 2:
+                X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-6, 6, p)
+            z = X @ rng.standard_normal(p) + rng.standard_normal(n)
+            expect, r_expect, piv_expect, rank_expect = _scipy_qr_solve(X, z)
+            assert rank_expect == p
+            before = X.copy()
+            beta, (r, piv) = _qr_solve(X, z, terms)
+            assert beta.tobytes() == expect.tobytes()
+            assert np.triu(r).tobytes() == r_expect.tobytes()
+            assert np.array_equal(piv, piv_expect)
+            assert _pivoted_qr(X)[3] == rank_expect
+            assert np.array_equal(X, before)
+
+    def test_blocked_factorization_matches_scipy_bit_for_bit(self):
+        # past ~128 columns LAPACK blocks by the queried workspace size, so
+        # a guessed lwork would change the bits here
+        rng = np.random.default_rng(140)
+        X = rng.standard_normal((300, 140))
+        z = rng.standard_normal(300)
+        terms = vf.TermSet(tuple((j, 0) for j in range(140)))
+        beta, _ = _qr_solve(X, z, terms)
+        assert beta.tobytes() == _scipy_qr_solve(X, z)[0].tobytes()
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_weighted_solve_matches_scipy_bit_for_bit(self, n, p):
+        rng = np.random.default_rng(2000 * n + p)
+        X, terms = _random_design(rng, n, p)
+        z = rng.standard_normal(n)
+        w = 1.0 / np.maximum(np.abs(rng.standard_normal(n)), 1e-3)
+        sw = np.sqrt(w)
+        expect = _scipy_qr_solve(X * sw[:, None], z * sw)[0]
+        beta, _ = _wls_solve(X, z, w, terms)
+        assert beta.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (40, 1), (60, 5), (300, 11)])
+    def test_bounds_match_scipy_bit_for_bit(self, n, p):
+        rng = np.random.default_rng(3000 * n + p)
+        X, _ = _random_design(rng, n, p)
+        w = rng.uniform(0.0, 2.0, n)
+        coefficients = tuple(rng.standard_normal(p))
+        for weights in (w, np.ones(n)):
+            expect = _scipy_t_bounds(X, weights, 0.7, coefficients, 0.95)
+            assert _t_bounds(X, weights, 0.7, coefficients, 0.95) == expect
+
+    @pytest.mark.parametrize("make", [
+        lambda X: np.column_stack([X, X[:, 1]]),
+        lambda X: np.column_stack([X[:, :2], np.zeros(len(X)), X[:, 2:]]),
+        lambda X: np.column_stack([X, 3.0 * X[:, 0] - X[:, 2]]),
+        lambda X: np.zeros((len(X), 1)),
+        lambda X: X[:3],
+    ])
+    def test_rank_deficiency_names_the_same_columns(self, make):
+        rng = np.random.default_rng(4)
+        X = make(_random_design(rng, 50, 4)[0])
+        terms = vf.TermSet(tuple((j, 0) for j in range(X.shape[1])))
+        _, _, piv, rank = _scipy_qr_solve(X, np.ones(len(X)))
+        assert rank < X.shape[1]
+        with pytest.raises(RankError) as excinfo:
+            _qr_solve(X, np.ones(len(X)), terms)
+        assert excinfo.value.columns == tuple(terms.labels()[j] for j in piv[rank:])
+
+    @pytest.mark.parametrize("p", [1, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, p, bad):
+        rng = np.random.default_rng(5)
+        X, terms = _random_design(rng, 30, p)
+        z = rng.standard_normal(30)
+        broken = X.copy()
+        broken[7, p - 1] = bad
+        with pytest.raises(ValueError):
+            linalg.qr(broken, mode="economic", pivoting=True)
+        with pytest.raises(ValueError):
+            _qr_solve(broken, z, terms)
+        with pytest.raises(ValueError):
+            _t_bounds(broken, np.ones(30), 1.0, (0.0,) * p, 0.95)
+        z[3] = bad
+        with pytest.raises(ValueError):
+            _qr_solve(X, z, terms)
 
 
 class TestEvaluateSurface:
