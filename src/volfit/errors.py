@@ -14,7 +14,11 @@ class OrderError(VolfitError):
 
 
 class ParseError(VolfitError):
-    """A cell could not be parsed; carries the 1-based file row number."""
+    """A cell could not be parsed.
+
+    ``row`` is the 1-based count of non-blank CSV rows, the header being
+    row 1.  Blank lines are not counted, so it is not the file line.
+    """
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)

@@ -208,7 +208,8 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
     recorded as missing.
     """
     config = config or PipelineConfig()
-    # row numbers count non-blank rows, the header being row 1
+    # row numbers count the non-blank rows, the header being row 1; blank
+    # lines are skipped uncounted, so a number is not the file line
     rows = [
         row for row in csv.reader(io.StringIO(raw_text)) if any(map(str.strip, row))
     ]

@@ -4,10 +4,11 @@ A surface is a sparse polynomial ``f(x, y) = sum_j c_j * x**m_j * y**n_j``
 over a configured list of exponent pairs.  Feature tables pair a scaled
 time index with a lagged series value, so a fitted surface predicts the
 current value of a series from when it is observed and where it recently
-was.  The robust variants (least absolute residuals and Tukey bisquare)
-run as iteratively reweighted least squares seeded by the ordinary
-solution; all solves go through a pivoted QR factorization rather than
-normal equations.
+was.  Both robust variants start from the ordinary solution: least
+absolute residuals walks to a certified L1 vertex by basis exchange, and
+Tukey bisquare runs iteratively reweighted least squares.  Least-squares
+solves go through a pivoted QR factorization rather than normal
+equations.
 
 scipy's LAPACK wrappers and ``scipy.special`` are imported by the
 functions that fit and bound a surface, not at module level, so that
@@ -162,7 +163,13 @@ class FeatureTable:
 
 @dataclass(frozen=True)
 class IrlsOptions:
-    """Tuning knobs for the reweighted least-squares loops."""
+    """Tuning knobs for the robust fits.
+
+    ``max_iterations`` caps bisquare's reweighted solves and LAR's basis
+    exchanges.  ``tolerance`` is bisquare's coefficient-step test; LAR
+    stops on its optimality certificate instead.  ``lar_floor`` sets only
+    the LAR bound weights (see ``fit_lar``).
+    """
 
     max_iterations: int = 50
     tolerance: float = 1e-8
@@ -180,6 +187,9 @@ class IrlsOptions:
 class PolySurfaceModel:
     """Fitted surface: coefficients with confidence bounds and fit metadata.
 
+    ``iterations`` counts bisquare's reweighted solves or LAR's basis
+    exchanges (0 for OLS).  ``converged`` means bisquare met its step
+    tolerance, or that LAR's vertex carries the L1 optimality certificate.
     ``weights`` keeps the final reweighting used by the robust fits so that
     standard errors can be recomputed; it is internal state and is not part
     of the serialized document.
@@ -255,10 +265,15 @@ def evaluate_surface(model: PolySurfaceModel, x, y):
 
 @functools.cache
 def _lapack():
-    """The float64 LAPACK routines (geqp3, orgqr, trtrs), fetched on first use."""
+    """The float64 LAPACK routines volfit calls, fetched on first use.
+
+    geqp3, orgqr and trtrs serve the least-squares solves; getrf and getrs
+    the square basis solves of the LAR vertex.
+    """
     from scipy.linalg.lapack import get_lapack_funcs
 
-    return get_lapack_funcs(("geqp3", "orgqr", "trtrs"), dtype=np.float64)
+    return get_lapack_funcs(("geqp3", "orgqr", "trtrs", "getrf", "getrs"),
+                            dtype=np.float64)
 
 
 def _with_workspace(routine, *args, **kwargs):
@@ -462,65 +477,141 @@ def fit_ols(table: FeatureTable, terms: TermSet,
     )
 
 
-def _lar_iterate(X, y, beta, floor, terms, opts):
-    """Reweighted iterations for the absolute-residual objective.
+def _independent_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The first p rows of X in ``order`` that are linearly independent, sorted.
 
-    Returns (best_beta, solve_count, converged, objective_history); the
-    history holds sum|r| after the starting point and each completed solve.
+    Gram-Schmidt on the rows with the columns scaled to a max of 1; a row
+    whose remainder is within rounding of zero (a duplicate, say) is skipped.
     """
-    residuals = y - X @ beta
-    best_obj = float(np.sum(np.abs(residuals)))
-    best_beta = beta
-    history = [best_obj]
-    converged = False
-    solves = 0
-    for _ in range(opts.max_iterations):
-        w = 1.0 / np.maximum(np.abs(residuals), floor)
-        try:
-            candidate, _ = _wls_solve(X, y, w, terms)
-        except RankError:
-            break
-        solves += 1
-        candidate_residuals = y - X @ candidate
-        obj = float(np.sum(np.abs(candidate_residuals)))
-        if obj > best_obj * (1.0 + 1e-12):
-            # reweighting stopped paying off; keep the best iterate
-            break
-        history.append(obj)
-        if obj < best_obj:
-            best_obj, best_beta = obj, candidate
-        step = float(np.max(np.abs(candidate - beta)))
-        scale = max(float(np.max(np.abs(candidate))), np.finfo(float).tiny)
-        residuals = candidate_residuals
-        beta = candidate
-        if step <= opts.tolerance * scale:
-            converged = True
-            break
-    return best_beta, solves, converged, history
+    p = X.shape[1]
+    scaled = X / np.max(np.abs(X), axis=0)
+    span = np.empty((0, p))
+    rows = []
+    for i in order:
+        v = scaled[i]
+        w = v - (span @ v) @ span
+        w -= (span @ w) @ span
+        norm = math.sqrt(w @ w)
+        if norm > 64 * p * np.finfo(float).eps * math.sqrt(v @ v):
+            span = np.vstack([span, w / norm])
+            rows.append(i)
+            if len(rows) == p:
+                break
+    return np.sort(np.array(rows))
+
+
+def _line_search(t: np.ndarray, weight: np.ndarray, descent: float) -> np.ndarray:
+    """Breakpoints an exchange crosses, in order, ending with the one it stops at.
+
+    The objective's slope along the exchange direction starts at -descent
+    and each breakpoint t adds its weight, so the minimum lies at a weighted
+    median of t: the first breakpoint (ascending t, ties to the lower
+    index) after which the slope is >= 0.  It is nearly always among the
+    64 smallest t, so those are sorted first.
+    """
+    m = min(t.size, 64)
+    near = np.flatnonzero(t <= np.partition(t, m - 1)[m - 1])
+    for candidates in (near, np.arange(t.size)):
+        order = candidates[np.argsort(t[candidates], kind="stable")]
+        stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
+        if stop < order.size:
+            return order[:stop + 1]
+    # rounding kept the slope below zero: stop at the last breakpoint
+    return order
+
+
+def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
+               max_exchanges: int):
+    """Barrodale-Roberts basis exchange from ``residuals`` to an L1 vertex.
+
+    A vertex interpolates the p rows of a basis B: beta solves
+    X_B beta = y_B.  It minimizes sum|y - X beta| when every entry of
+    u = X_B^-T sum_{i not in B} s_i x_i lies in [-1, 1], s_i being the
+    sign of row i's residual; that is the certificate.  Otherwise the row
+    with the largest |u| leaves B and a line search picks the row that
+    enters.  A residual within a rounding bound of zero has no sign of its
+    own: it is 0 until an exchange moves the row off it, and then keeps the
+    side the exchange put it on.  The start is the p smallest-|r| rows that
+    are linearly independent.
+
+    Each of at most ``max_exchanges`` rounds tests the certificate and,
+    failing it, makes one exchange; the vertex the last allowed exchange
+    reaches is returned untested.  Returns (beta, exchanges, certified).
+    """
+    getrf, getrs = _lapack()[3:]
+    n, p = X.shape
+    # column-major: numpy's matrix-vector products on it are about 3x faster
+    X = np.asfortranarray(X)
+    abs_x, abs_y = np.abs(X), np.abs(y)
+    rounding = 4 * p * np.finfo(float).eps
+    basis = _independent_rows(X, np.argsort(np.abs(residuals), kind="stable"))
+    side = np.zeros(n)
+    for exchanges in range(max_exchanges + 1):
+        lu, piv, _ = getrf(X[basis])
+        beta, _ = getrs(lu, piv, y[basis])
+        if exchanges == max_exchanges:
+            return beta, exchanges, False
+        r = y - X @ beta
+        clear = np.abs(r) > rounding * (abs_y + abs_x @ np.abs(beta))
+        s = np.where(clear, np.sign(r), side)
+        s[basis] = 0.0
+        u, _ = getrs(lu, piv, X.T @ s, trans=1)
+        k = int(np.argmax(np.abs(u)))
+        if abs(u[k]) <= 1.0:
+            return beta, exchanges, True
+        # move off row basis[k]: X_B d = sign(u_k) e_k, beta(t) = beta + t d
+        direction = math.copysign(1.0, u[k])
+        e = np.zeros(p)
+        e[k] = direction
+        d, _ = getrs(lu, piv, e)
+        g = X @ d
+        moving = np.abs(g) > rounding * (abs_x @ np.abs(d))
+        moving[basis] = False
+        # residuals r - t g that reach 0 at some t >= 0
+        rows = np.flatnonzero(moving & (s * g >= 0.0))
+        if rows.size == 0:
+            return beta, exchanges, False
+        g_rows = g[rows]
+        t = np.where(clear[rows], r[rows], 0.0) / g_rows
+        # crossing a breakpoint adds 2|g| to the objective's slope, or |g|
+        # for a residual that starts at 0
+        weight = (1.0 + np.abs(s[rows])) * np.abs(g_rows)
+        crossed = rows[_line_search(t, weight, abs(u[k]) - 1.0)]
+        side = s
+        side[crossed] = -np.sign(g[crossed])
+        side[basis[k]] = -direction
+        basis[k] = crossed[-1]
+        basis.sort()
 
 
 def fit_lar(table: FeatureTable, terms: TermSet,
             opts: IrlsOptions | None = None,
             confidence_level: float = 0.95) -> PolySurfaceModel:
-    """Least absolute residuals via IRLS with weights 1 / max(|r|, floor).
+    """Least absolute residuals: argmin sum|r_i| at a certified L1 vertex.
 
-    Starts from the ordinary solution and approximates argmin sum|r_i|.
-    The floor is ``opts.lar_floor`` times the starting sigma, keeping the
-    weights finite near interpolated points.  A fit that fails to meet the
-    coefficient-change tolerance returns its best iterate with
-    ``converged=False``.
+    Starts from the ordinary solution and exchanges basis rows until the
+    vertex carries the optimality certificate (``converged=True``);
+    ``iterations`` counts the exchanges, at most ``opts.max_iterations``.
+    The coefficients solve X_B beta = y_B for the final basis B, unless the
+    ordinary start has the smaller sum|r|, as it can when the cap stops the
+    fit; sum|r| never exceeds the start's.  A start that interpolates the
+    rows is returned as-is.  ``opts.lar_floor`` times the starting sigma
+    floors |r| in the bound weights 1 / max(|r|, floor).
     """
     opts = opts or IrlsOptions()
-    X, beta = _ols_start(table, terms)
+    X, start = _ols_start(table, terms)
     y = table.target
-    floor = _lar_floor(y - X @ beta, X.shape[1], opts.lar_floor)
-    solves, converged = 0, True
+    residuals = y - X @ start
+    floor = _lar_floor(residuals, X.shape[1], opts.lar_floor)
+    beta, exchanges, certified = start, 0, True
     if floor > 0.0:
-        beta, solves, converged, _ = _lar_iterate(X, y, beta, floor, terms, opts)
+        vertex, exchanges, certified = _l1_vertex(X, y, residuals, opts.max_iterations)
+        if np.sum(np.abs(y - X @ vertex)) <= np.sum(np.abs(residuals)):
+            beta = vertex
     weights = _final_weights("lar", y - X @ beta, X.shape[1], opts, floor)
     return _finish_model(
         "lar", table, terms, X, beta, weights,
-        iterations=solves, converged=converged,
+        iterations=exchanges, converged=certified,
         confidence_level=confidence_level,
     )
 
@@ -572,8 +663,9 @@ def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
     """Per-term Student-t intervals at the given confidence level.
 
     bound = c +- t_{1-(1-level)/2, n-p} * se(c), with the standard errors
-    taken from the diagonal of sigma^2 (X'WX)^-1 where W holds the final
-    IRLS weights (identity for ordinary least squares).  A model read back
+    taken from the diagonal of sigma^2 (X'WX)^-1 where W holds the weights
+    the fit ended with: 1 / max(|r|, floor) for LAR, the biweights for
+    bisquare, the identity for ordinary least squares.  A model read back
     from its document carries no weights; they are rebuilt from the
     table's residuals as a fit with default ``IrlsOptions`` ends, so the
     stored bounds are reproduced exactly for such fits.  A fit run with
@@ -586,11 +678,14 @@ def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
         raise DegreesOfFreedomError(
             f"confidence bounds need more rows ({n}) than terms ({p})"
         )
-    X, start = _ols_start(table, model.term_set)
+    X = design_matrix(table, model.term_set)
     weights = model.weights
     if weights is None or len(weights) != n:
-        opts = IrlsOptions()
-        floor = _lar_floor(table.target - X @ start, p, opts.lar_floor)
+        opts, floor = IrlsOptions(), 0.0
+        if model.method == "lar":
+            # the floor comes from the OLS start; no other method uses it
+            start, _ = _qr_solve(X, table.target, model.term_set)
+            floor = _lar_floor(table.target - X @ start, p, opts.lar_floor)
         residuals = table.target - X @ np.asarray(model.coefficients)
         weights = _final_weights(model.method, residuals, p, opts, floor)
     return _t_bounds(X, weights, model.sigma, model.coefficients, level)

@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import linalg, special, stats
+from scipy import linalg, optimize, special, stats
 
 import volfit as vf
+from volfit import surface
+from volfit.cli import run_pipeline
 from volfit.errors import (
     DegreesOfFreedomError,
     ExclusionError,
@@ -15,11 +18,12 @@ from volfit.errors import (
     InsufficientData,
     RankError,
 )
-from volfit.surface import _lar_iterate, _pivoted_qr, _qr_solve, _t_bounds, _wls_solve
+from volfit.surface import _l1_vertex, _pivoted_qr, _qr_solve, _t_bounds, _wls_solve
 
 from helpers import make_table, planted_table
 
 LINE = vf.TermSet(((0, 0), (1, 0)))
+BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
 
 
 class TestTermSet:
@@ -239,10 +243,13 @@ class TestFitLar:
         X = vf.design_matrix(table, LINE)
         beta0, _ = _qr_solve(X, table.target, LINE)
         r = table.target - X @ beta0
-        floor = 1e-8 * math.sqrt(float(r @ r) / (80 - 2))
-        _, _, _, history = _lar_iterate(
-            X, table.target, beta0, floor, LINE, vf.IrlsOptions()
-        )
+        # the vertex after each number of basis exchanges, up to the certified one
+        history, certified, cap = [], False, 0
+        while not certified:
+            beta, exchanges, certified = _l1_vertex(X, table.target, r, cap)
+            assert exchanges == (cap - 1 if certified else cap)
+            history.append(float(np.sum(np.abs(table.target - X @ beta))))
+            cap += 1
         assert len(history) > 1
         for before, after in zip(history, history[1:]):
             assert after <= before * (1.0 + 1e-12)
@@ -269,6 +276,146 @@ class TestFitLar:
             vf.IrlsOptions(tolerance=0.0)
         with pytest.raises(ValueError):
             vf.IrlsOptions(lar_floor=-1.0)
+
+
+def _abs_sum(table, terms, coefficients) -> float:
+    """sum|r| as the benchmark's LAR check computes it."""
+    X = vf.design_matrix(table, terms)
+    return float(np.sum(np.abs(table.target - X @ np.asarray(coefficients))))
+
+
+def _linprog_l1(X, y) -> float:
+    """sum|r| at HiGHS's L1 optimum, solved on the orthonormal design.
+
+    The LP runs on sqrt(n) Q from the QR of X with the target divided by
+    its max |y|; the solution is mapped back through R.  On the raw design
+    HiGHS's feasibility tolerance swamps residuals as small as trend's.
+    """
+    n, p = X.shape
+    q, r = linalg.qr(X, mode="economic")
+    scale = float(np.max(np.abs(y)))
+    result = optimize.linprog(
+        np.r_[np.zeros(p), np.ones(2 * n)],
+        A_eq=np.hstack([math.sqrt(n) * q, np.eye(n), -np.eye(n)]),
+        b_eq=y / scale,
+        bounds=[(None, None)] * p + [(0, None)] * (2 * n),
+        method="highs",
+    )
+    assert result.status == 0
+    beta = linalg.solve_triangular(r, math.sqrt(n) * result.x[:p]) * scale
+    return float(np.sum(np.abs(y - X @ beta)))
+
+
+def _heavy_tailed_table(terms, seed, n):
+    rng = np.random.default_rng(seed)
+    table = planted_table(terms, rng.normal(0, 1, len(terms)), n, rng)
+    return make_table(table.x, table.y, table.target + 0.1 * rng.standard_t(2, n))
+
+
+class TestL1Vertex:
+    # relative slack on the oracle's objective, fixed before any comparison
+    ORACLE_SLACK = 1e-9
+
+    def assert_certified_optimum(self, table, terms, model):
+        assert model.converged
+        oracle = _linprog_l1(vf.design_matrix(table, terms), table.target)
+        bound = oracle * (1 + self.ORACLE_SLACK)
+        assert _abs_sum(table, terms, model.coefficients) <= bound
+
+    @pytest.mark.parametrize("name", sorted(vf.DEFAULT_TERM_SETS))
+    @pytest.mark.parametrize("seed,n", [(1, 200), (2, 300), (3, 400)])
+    def test_matches_linprog_oracle(self, name, seed, n):
+        terms = vf.DEFAULT_TERM_SETS[name]
+        table = _heavy_tailed_table(terms, [seed, len(terms)], n)
+        self.assert_certified_optimum(table, terms, vf.fit_lar(table, terms))
+
+    def test_certificate_on_bundled_training_tables(self):
+        # recomputed here from the coefficients alone: the p rows the vertex
+        # interpolates form B, and u = X_B^-T sum_{i not in B} sign(r_i) x_i
+        _, results = run_pipeline(BUNDLED.read_text(), vf.PipelineConfig())
+        for result in results.values():
+            model, table = result["model"], result["train"]
+            assert model.converged
+            X = vf.design_matrix(table, model.term_set)
+            r = table.target - X @ np.asarray(model.coefficients)
+            p = X.shape[1]
+            order = np.argsort(np.abs(r))
+            basis, rest = order[:p], order[p:]
+            assert np.max(np.abs(r[basis])) < 1e-6 * np.min(np.abs(r[rest]))
+            u = np.linalg.solve(X[basis].T, X[rest].T @ np.sign(r[rest]))
+            assert np.max(np.abs(u)) <= 1.0 + 1e-9
+
+    def test_never_worse_than_the_ols_start(self):
+        _, results = run_pipeline(BUNDLED.read_text(), vf.PipelineConfig())
+        cases = [(r["train"], r["model"].term_set) for r in results.values()]
+        for seed in range(6):
+            terms = vf.DEFAULT_TERM_SETS["remainder"]
+            cases.append((_heavy_tailed_table(terms, seed, 300), terms))
+        for table, terms in cases:
+            start = _abs_sum(table, terms, vf.fit_ols(table, terms).coefficients)
+            for cap in (1, 2, 50):
+                model = vf.fit_lar(table, terms, vf.IrlsOptions(max_iterations=cap))
+                assert _abs_sum(table, terms, model.coefficients) <= start
+
+    def test_capped_fit_returns_the_better_of_start_and_vertex(self):
+        picked = set()
+        terms = vf.DEFAULT_TERM_SETS["remainder"]
+        for seed in range(4):
+            table = _heavy_tailed_table(terms, seed, 300)
+            X = vf.design_matrix(table, terms)
+            start, _ = _qr_solve(X, table.target, terms)
+            r = table.target - X @ start
+            for cap in (1, 2, 3):
+                vertex, exchanges, certified = _l1_vertex(X, table.target, r, cap)
+                model = vf.fit_lar(table, terms, vf.IrlsOptions(max_iterations=cap))
+                assert (model.iterations, model.converged) == (exchanges, certified)
+                use_vertex = (_abs_sum(table, terms, vertex)
+                              <= _abs_sum(table, terms, start))
+                expected = vertex if use_vertex else start
+                assert np.array_equal(np.array(model.coefficients), expected)
+                picked.add(use_vertex)
+        assert picked == {True, False}
+
+    def test_two_calls_give_the_same_bits(self):
+        terms = vf.DEFAULT_TERM_SETS["trend"]
+        table = _heavy_tailed_table(terms, 5, 350)
+        a, b = vf.fit_lar(table, terms), vf.fit_lar(table, terms)
+        assert a == b
+        assert np.array(a.coefficients).tobytes() == np.array(b.coefficients).tobytes()
+        assert vf.model_to_document(a) == vf.model_to_document(b)
+
+    def test_duplicated_rows(self):
+        terms = vf.DEFAULT_TERM_SETS["volatility"]
+        table = _heavy_tailed_table(terms, 3, 60)
+        doubled = table.subset(np.repeat(np.arange(60), 2))
+        single, double = vf.fit_lar(table, terms), vf.fit_lar(doubled, terms)
+        assert single.converged
+        self.assert_certified_optimum(doubled, terms, double)
+        assert _abs_sum(doubled, terms, double.coefficients) == pytest.approx(
+            2 * _abs_sum(table, terms, single.coefficients), rel=1e-12)
+
+    @pytest.mark.parametrize("target,expected", [
+        ([1.0, 2.0, 3.0, 4.0], 2.0),
+        ([4.0, 3.0, 2.0, 1.0], 3.0),
+        ([1.0, 1.0, 2.0, 2.0], 1.0),
+        ([5.0, 1.0, 1.0, 5.0, 5.0, 1.0], 5.0),
+    ])
+    def test_even_constant_fit_takes_the_lowest_index_tie(self, target, expected):
+        # every point between the middle values is optimal; the OLS residuals
+        # tie there and the start takes the lower row index
+        n = len(target)
+        table = make_table(np.linspace(0.1, 1.0, n), np.ones(n), target)
+        model = vf.fit_lar(table, vf.TermSet(((0, 0),)))
+        assert model.converged
+        assert model.coefficients == (expected,)
+
+    @pytest.mark.parametrize("name", sorted(vf.DEFAULT_TERM_SETS))
+    def test_one_row_more_than_terms(self, name):
+        terms = vf.DEFAULT_TERM_SETS[name]
+        p = len(terms)
+        rng = np.random.default_rng(p)
+        table = planted_table(terms, rng.normal(0, 1, p), p + 1, rng, noise=0.3)
+        self.assert_certified_optimum(table, terms, vf.fit_lar(table, terms))
 
 
 class TestFitBisquare:
@@ -377,6 +524,22 @@ class TestConfidenceBounds:
             for (lo1, hi1), (lo2, hi2) in zip(model.bounds, recomputed):
                 assert lo1 == pytest.approx(lo2, rel=1e-6, abs=1e-9)
                 assert hi1 == pytest.approx(hi2, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("method,solves", [("ols", 0), ("bisquare", 0), ("lar", 1)])
+    def test_reload_solves_only_for_the_lar_floor(self, monkeypatch, method, solves):
+        rng = np.random.default_rng(42)
+        table = planted_table(LINE, [1.0, -2.0], 60, rng, noise=0.15)
+        model = getattr(vf, f"fit_{method}")(table, LINE)
+        loaded = vf.model_from_document(vf.model_to_document(model))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _qr_solve(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "_qr_solve", counting)
+        assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
+        assert len(calls) == solves
 
     def test_reloaded_lar_bounds_equal_stored_bounds(self):
         # the reload floors LAR weights at lar_floor times the sigma of the
