@@ -189,7 +189,9 @@ class PolySurfaceModel:
 
     ``iterations`` counts bisquare's reweighted solves or LAR's basis
     exchanges (0 for OLS).  ``converged`` means bisquare met its step
-    tolerance, or that LAR's vertex carries the L1 optimality certificate.
+    tolerance, or that LAR's vertex carries the L1 optimality certificate;
+    LAR reports False also when the cap is hit on an optimal vertex, whose
+    certificate is then not tested (see ``fit_lar``).
     ``weights`` keeps the final reweighting used by the robust fits so that
     standard errors can be recomputed; it is internal state and is not part
     of the serialized document.
@@ -506,18 +508,12 @@ def _line_search(t: np.ndarray, weight: np.ndarray, descent: float) -> np.ndarra
     The objective's slope along the exchange direction starts at -descent
     and each breakpoint t adds its weight, so the minimum lies at a weighted
     median of t: the first breakpoint (ascending t, ties to the lower
-    index) after which the slope is >= 0.  It is nearly always among the
-    64 smallest t, so those are sorted first.
+    index) after which the slope is >= 0.  If rounding keeps the slope
+    below zero throughout, the exchange stops at the last breakpoint.
     """
-    m = min(t.size, 64)
-    near = np.flatnonzero(t <= np.partition(t, m - 1)[m - 1])
-    for candidates in (near, np.arange(t.size)):
-        order = candidates[np.argsort(t[candidates], kind="stable")]
-        stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
-        if stop < order.size:
-            return order[:stop + 1]
-    # rounding kept the slope below zero: stop at the last breakpoint
-    return order
+    order = np.argsort(t, kind="stable")
+    stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
+    return order[:stop + 1]
 
 
 def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
@@ -536,18 +532,23 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
 
     Each of at most ``max_exchanges`` rounds tests the certificate and,
     failing it, makes one exchange; the vertex the last allowed exchange
-    reaches is returned untested.  Returns (beta, exchanges, certified).
+    reaches is returned untested.  Returns (beta, exchanges, certified),
+    with beta None when no p rows are independent within rounding, which
+    a nearly collinear design can give though its QR has full rank; a
+    basis that rounding leaves singular ends the walk at the vertex before.
     """
     getrf, getrs = _lapack()[3:]
     n, p = X.shape
-    # column-major: numpy's matrix-vector products on it are about 3x faster
-    X = np.asfortranarray(X)
     abs_x, abs_y = np.abs(X), np.abs(y)
     rounding = 4 * p * np.finfo(float).eps
     basis = _independent_rows(X, np.argsort(np.abs(residuals), kind="stable"))
-    side = np.zeros(n)
+    if basis.size < p:
+        return None, 0, False
+    side, beta = np.zeros(n), None
     for exchanges in range(max_exchanges + 1):
-        lu, piv, _ = getrf(X[basis])
+        lu, piv, info = getrf(X[basis])
+        if info > 0:
+            return beta, exchanges, False
         beta, _ = getrs(lu, piv, y[basis])
         if exchanges == max_exchanges:
             return beta, exchanges, False
@@ -592,11 +593,15 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     Starts from the ordinary solution and exchanges basis rows until the
     vertex carries the optimality certificate (``converged=True``);
     ``iterations`` counts the exchanges, at most ``opts.max_iterations``.
+    ``converged=False`` says no certificate test passed, not that the fit
+    is suboptimal: the vertex the last allowed exchange reaches is not
+    tested, so a fit the cap stops reports False even on an optimal vertex.
     The coefficients solve X_B beta = y_B for the final basis B, unless the
     ordinary start has the smaller sum|r|, as it can when the cap stops the
     fit; sum|r| never exceeds the start's.  A start that interpolates the
-    rows is returned as-is.  ``opts.lar_floor`` times the starting sigma
-    floors |r| in the bound weights 1 / max(|r|, floor).
+    rows is returned as-is, and so, unconverged, is one of a design with no
+    p rows independent within rounding.  ``opts.lar_floor`` times the
+    starting sigma floors |r| in the bound weights 1 / max(|r|, floor).
     """
     opts = opts or IrlsOptions()
     X, start = _ols_start(table, terms)
@@ -606,7 +611,8 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     beta, exchanges, certified = start, 0, True
     if floor > 0.0:
         vertex, exchanges, certified = _l1_vertex(X, y, residuals, opts.max_iterations)
-        if np.sum(np.abs(y - X @ vertex)) <= np.sum(np.abs(residuals)):
+        if vertex is not None and (np.sum(np.abs(y - X @ vertex))
+                                   <= np.sum(np.abs(residuals))):
             beta = vertex
     weights = _final_weights("lar", y - X @ beta, X.shape[1], opts, floor)
     return _finish_model(

@@ -376,6 +376,30 @@ class TestL1Vertex:
                 picked.add(use_vertex)
         assert picked == {True, False}
 
+    def test_cap_leaves_the_last_vertex_untested(self):
+        # this table certifies after exactly two exchanges; a cap of two
+        # returns that optimal vertex without testing it, so the flag is False
+        rng = np.random.default_rng(8)
+        table = planted_table(LINE, [1.0, 2.0], 500, rng, noise=0.5)
+        capped = vf.fit_lar(table, LINE, vf.IrlsOptions(max_iterations=2))
+        free = vf.fit_lar(table, LINE, vf.IrlsOptions(max_iterations=3))
+        assert (capped.iterations, capped.converged) == (2, False)
+        assert (free.iterations, free.converged) == (2, True)
+        assert capped.coefficients == free.coefficients
+
+    def test_nearly_collinear_design_returns_the_start(self):
+        # y equals x to within 1e-14: QR keeps rank 3, but no three rows are
+        # independent within the basis row test's rounding bound
+        terms = vf.TermSet(((0, 0), (1, 0), (0, 1)))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = np.linspace(0.5, 2.0, 8)
+            y = x * (1.0 + 1e-14 * rng.standard_normal(8))
+            table = make_table(x, y, 1.0 + x + rng.standard_t(2, 8))
+            model = vf.fit_lar(table, terms)
+            assert (model.iterations, model.converged) == (0, False)
+            assert model.coefficients == vf.fit_ols(table, terms).coefficients
+
     def test_two_calls_give_the_same_bits(self):
         terms = vf.DEFAULT_TERM_SETS["trend"]
         table = _heavy_tailed_table(terms, 5, 350)
