@@ -70,7 +70,10 @@ def decomposition_csv(dec: DecomposedSeries) -> str:
     """5-column CSV of the decomposition; missing values become empty cells."""
     columns = [map(str, range(1, len(dec) + 1))]
     for values in (dec.original.values, dec.trend, dec.seasonal, dec.remainder):
-        columns.append(["" if v != v else repr(v) for v in values.tolist()])
+        cells = _reprs(values)
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = ""
+        columns.append(cells)
     return _csv_text("index,original,trend,seasonal,remainder", columns)
 
 

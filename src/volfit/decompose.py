@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientData, WindowError
 from .ingest import PriceSeries
@@ -97,10 +98,11 @@ def moving_average_pass(series, window: int) -> np.ndarray:
     when that window holds no data at all.  Output length equals input
     length.
 
-    The window sum accumulates contributions in ascending index order so
-    the result is bit-identical to a plain left-to-right sum over each
-    window.  The window counts are small integers, so taking them as
-    differences of a running count is exact.
+    Row j of a ``sliding_window_view`` of the zero-padded series holds every
+    window's j-th entry, so ``np.add.reduce`` down the rows sums each window
+    from 0.0 in ascending index order; the pad's zeros change no sum, so it
+    is a plain left-to-right sum, bit for bit.  The window counts are small
+    integers, so taking them as differences of a running count is exact.
     """
     if window < 1 or window % 2 == 0:
         raise WindowError(f"window must be odd and >= 1, got {window}")
@@ -112,20 +114,12 @@ def moving_average_pass(series, window: int) -> np.ndarray:
         return values.copy()
     k = (window - 1) // 2
     missing = np.isnan(values)
-    filled = np.where(missing, 0.0, values)
     running = np.concatenate(([0.0], np.cumsum(~missing, dtype=float)))
     index = np.arange(n)
     count = running[np.minimum(index + k + 1, n)] - running[np.maximum(index - k, 0)]
-    total = np.zeros(n)
-    for offset in range(-k, k + 1):
-        if offset < 0:
-            if -offset < n:
-                total[-offset:] += filled[:offset]
-        elif offset == 0:
-            total += filled
-        else:
-            if offset < n:
-                total[:-offset] += filled[offset:]
+    padded = np.zeros(n + 2 * k)
+    padded[k:k + n] = np.where(missing, 0.0, values)
+    total = np.add.reduce(sliding_window_view(padded, n), axis=0)
     out = np.full(n, np.nan)
     np.divide(total, count, out=out, where=count > 0)
     return out

@@ -20,6 +20,7 @@ from .surface import (
     PolySurfaceModel,
     _count,
     _flag,
+    _list,
     _number,
     evaluate_surface,
 )
@@ -143,10 +144,11 @@ def report_from_document(text: str) -> FitReport:
             test_rmse=_number(doc["test_rmse"], "test_rmse"),
             n_train=_count(doc["n_train"], "n_train"),
             n_test=_count(doc["n_test"], "n_test"),
-            excluded=tuple(_count(t, "excluded index") for t in doc["excluded"]),
+            excluded=tuple(_count(t, "excluded index")
+                           for t in _list(doc["excluded"], "excluded")),
             converged=_flag(doc["converged"], "converged"),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"report document is malformed: {exc}") from exc
 
 

@@ -96,7 +96,7 @@ class PipelineConfig:
             raise ConfigError(f"fit_method must be one of {FIT_METHODS}")
         if not 0.0 < self.confidence_level < 1.0:
             raise ConfigError("confidence_level must lie in (0, 1)")
-        if self.outlier_threshold <= 0:
+        if not self.outlier_threshold > 0:
             raise ConfigError("outlier_threshold must be > 0")
         for name, terms in self.term_sets.items():
             if name not in SERIES_NAMES:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,14 +279,21 @@ def _lapack():
                             dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=256)
+def _lwork(routine, *shapes) -> int:
+    """The workspace size LAPACK asks for to run ``routine`` on these shapes."""
+    return int(routine(*map(np.zeros, shapes), lwork=-1)[-2][0])
+
+
 def _with_workspace(routine, *args, **kwargs):
     """Call a LAPACK routine with the workspace size it asks for.
 
-    This is scipy's ``safecall``: a query with ``lwork=-1`` first, because
-    the workspace size sets LAPACK's blocking and so the result's bits.
+    This is scipy's ``safecall``, with its ``lwork=-1`` query, which reads
+    the shapes only, made once per shape: the workspace size sets LAPACK's
+    blocking and so the result's bits.
     """
-    work = routine(*args, lwork=-1, **kwargs)[-2]
-    *out, info = routine(*args, lwork=int(work[0]), **kwargs)
+    lwork = _lwork(routine, *(a.shape for a in args))
+    *out, info = routine(*args, lwork=lwork, **kwargs)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
     return out[:-1]
@@ -296,16 +304,17 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _pivoted_qr(X: np.ndarray):
+def _pivoted_qr(X: np.ndarray, overwrite: bool = False):
     """Column-pivoted QR of X: (qr, tau, pivot, numerical rank).
 
-    ``qr`` is a Fortran-ordered copy of X overwritten by LAPACK's geqp3:
-    R in its upper triangle, the Householder reflectors below it.  These
-    are the calls ``scipy.linalg.qr(X, mode="economic", pivoting=True)``
-    makes, so R and the pivot have its bits.
+    ``qr`` is a Fortran-ordered copy of X, or with ``overwrite`` the
+    Fortran-ordered float X itself, overwritten by LAPACK's geqp3: R in its
+    upper triangle, the Householder reflectors below it.  These are the
+    calls ``scipy.linalg.qr(X, mode="economic", pivoting=True)`` makes, so
+    R and the pivot have its bits.
     """
     _require_finite(X)
-    a = np.array(X, dtype=float, order="F")
+    a = X if overwrite else np.array(X, dtype=float, order="F")
     qr, pivot, tau = _with_workspace(_lapack()[0], a, overwrite_a=1)
     pivot -= 1
     diag = np.abs(np.diagonal(qr))
@@ -323,16 +332,17 @@ def _r_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet):
+def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet, overwrite: bool = False):
     """Least-squares solve via column-pivoted QR.
 
     Returns the coefficient vector and the (R, pivot) pair of the
     factorization; only R's upper triangle is meaningful.  Raises RankError
     naming the dependent columns when the matrix does not have full column
-    rank, and ValueError when X or z holds a NaN or an infinity.
+    rank, and ValueError when X or z holds a NaN or an infinity.  X is
+    copied unless ``overwrite`` hands over a Fortran-ordered float X.
     """
     p = X.shape[1]
-    qr, tau, piv, rank = _pivoted_qr(X)
+    qr, tau, piv, rank = _pivoted_qr(X, overwrite)
     if rank < p:
         dependent = tuple(terms.labels()[j] for j in piv[rank:])
         raise RankError(
@@ -352,14 +362,26 @@ def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet):
 
 
 def _wls_solve(X, z, w, terms):
+    """Solve with sqrt(w) X, built once in Fortran order and overwritten."""
     sw = np.sqrt(w)
-    return _qr_solve(X * sw[:, None], z * sw, terms)
+    a = np.multiply(X, sw[:, None], order="F")
+    return _qr_solve(a, z * sw, terms, overwrite=True)
+
+
+def _median(a: np.ndarray):
+    """``np.median`` of a 1-d float array, bit for bit, from one partition:
+    the middle one or two values are summed from 0.0, as np.mean sums them."""
+    half, odd = divmod(a.size, 2)
+    part = np.partition(a, [half, -1] if odd else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return 0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2
 
 
 def _mad_sigma(residuals: np.ndarray) -> float:
     """Robust scale: median absolute deviation about the median, normalized."""
-    med = np.median(residuals)
-    return float(np.median(np.abs(residuals - med)) / MAD_TO_SIGMA)
+    med = _median(residuals)
+    return float(_median(np.abs(residuals - med)) / MAD_TO_SIGMA)
 
 
 def bisquare_weights(u) -> np.ndarray:
@@ -379,7 +401,8 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
 
     n, p = X.shape
     for w in (weights, np.ones(n)):
-        qr, _, piv, rank = _pivoted_qr(X * np.sqrt(w)[:, None])
+        a = np.multiply(X, np.sqrt(w)[:, None], order="F")
+        qr, _, piv, rank = _pivoted_qr(a, overwrite=True)
         if rank == p:
             break
     else:
@@ -510,10 +533,21 @@ def _line_search(t: np.ndarray, weight: np.ndarray, descent: float) -> np.ndarra
     median of t: the first breakpoint (ascending t, ties to the lower
     index) after which the slope is >= 0.  If rounding keeps the slope
     below zero throughout, the exchange stops at the last breakpoint.
+
+    Most exchanges stop within a few dozen of ~1000 breakpoints, so the
+    order is sorted for the 64 smallest t (ties included) first, then four
+    times as many, until the stop lies inside; a prefix of the order and
+    its running weight are the same however far the sort goes.
     """
-    order = np.argsort(t, kind="stable")
-    stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
-    return order[:stop + 1]
+    size = 64
+    while True:
+        cut = np.partition(t, size - 1)[size - 1] if size < t.size else np.inf
+        head = np.flatnonzero(t <= cut)
+        order = head[np.argsort(t[head], kind="stable")]
+        stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
+        if stop < order.size or order.size == t.size:
+            return order[:stop + 1]
+        size *= 4
 
 
 def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
@@ -706,11 +740,11 @@ def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
     filtered table and the provenance indices of the dropped rows; raises
     ExclusionError when dropping would leave fewer rows than model terms.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold!r}")
     residuals = table.target - evaluate_surface(model, table.x, table.y)
     absolute = np.abs(residuals)
-    scale = float(np.median(absolute)) / MAD_TO_SIGMA
+    scale = float(_median(absolute)) / MAD_TO_SIGMA
     if scale > 0.0:
         keep = absolute / scale <= threshold
     else:
@@ -742,16 +776,25 @@ def model_to_document(model: PolySurfaceModel) -> str:
 
 
 def _number(value, name: str) -> float:
-    """A JSON number as a float; booleans, strings and null are rejected."""
-    if type(value) is not float and type(value) is not int:
-        raise FormatError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """A finite JSON number as a float; booleans, strings and null are rejected."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise FormatError(f"{name} must be a finite number, got {value!r}")
 
 
 def _count(value, name: str) -> int:
     """A JSON non-negative integer; 2.0, 2.7 and true are rejected."""
     if type(value) is not int or value < 0:
         raise FormatError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    """A JSON array; objects, strings and null are rejected."""
+    if type(value) is not list:
+        raise FormatError(f"{name} must be an array, got {value!r}")
     return value
 
 
@@ -771,21 +814,22 @@ def model_from_document(text: str) -> PolySurfaceModel:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"model document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
     try:
         terms = TermSet(tuple((_count(m, "term exponent"), _count(n, "term exponent"))
-                              for m, n in doc["terms"]))
+                              for m, n in _list(doc["terms"], "terms")))
         sigma = _number(doc["sigma"], "sigma")
         if not sigma >= 0.0:
             raise FormatError(f"sigma must be >= 0, got {sigma!r}")
         return PolySurfaceModel(
             term_set=terms,
-            coefficients=tuple(_number(c, "coefficient") for c in doc["coefficients"]),
+            coefficients=tuple(_number(c, "coefficient")
+                               for c in _list(doc["coefficients"], "coefficients")),
             bounds=tuple((_number(lo, "bound"), _number(hi, "bound"))
-                         for lo, hi in doc["bounds"]),
+                         for lo, hi in _list(doc["bounds"], "bounds")),
             method=doc["method"],
             n_points=_count(doc["n_points"], "n_points"),
             sigma=sigma,

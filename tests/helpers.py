@@ -1,6 +1,11 @@
-"""Shared test utilities: independent oracles and table builders."""
+"""Shared test utilities: independent oracles, table builders, fuzz inputs."""
+
+import copy
+import json
+import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 import volfit as vf
 
@@ -40,3 +45,70 @@ def planted_table(terms, beta, n, rng, noise=0.0, y_range=(0.5, 2.0)):
     if noise:
         target = target + rng.normal(0.0, noise, n)
     return make_table(x, y, target)
+
+
+# What a mutation puts in place of a document field, or of one item in it
+JSON_VALUES = (
+    None, True, False, 0, -1, 3, 2.5, -0.0, 1e-320, 1e308, 10 ** 400,
+    math.nan, math.inf, -math.inf, "", "1.0", "false", "ols", "trend",
+    [], [0, 0], [[0, 0]], {}, {"x": 1},
+)
+NESTING = 5000
+
+
+@st.composite
+def mutated_documents(draw, documents):
+    """One of the valid JSON ``documents`` (dicts) with one defect put in.
+
+    A field or one item inside it is replaced by a value of ``JSON_VALUES``
+    (NaN and infinities written as JavaScript literals, as ``json.dumps``
+    writes them), a field is deleted or added, the text is cut short, or a
+    field holds arrays nested deeper than the recursion limit.
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
+    key = draw(st.sampled_from(sorted(doc)))
+    kind = draw(st.sampled_from(("field", "item", "delete", "extra", "cut", "nest")))
+    value = draw(st.sampled_from(JSON_VALUES))
+    if kind == "field":
+        doc[key] = value
+    elif kind == "item":
+        holder = doc[key]
+        while isinstance(holder, list) and holder:
+            i = draw(st.integers(0, len(holder) - 1))
+            if not isinstance(holder[i], list) or draw(st.booleans()):
+                holder[i] = value
+                break
+            holder = holder[i]
+    elif kind == "delete":
+        del doc[key]
+    elif kind == "extra":
+        doc["unexpected"] = value
+    elif kind == "nest":
+        doc[key] = "@nest@"
+    text = json.dumps(doc, indent=2)
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    return text.replace('"@nest@"', "[" * NESTING + "]" * NESTING)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"the document holds {name}, which JSON does not allow")
+
+
+def assert_rejected_or_read_back(read, write, text, error):
+    """``read(text)`` raises ``error``, or its object's document is sound.
+
+    Sound means: strict JSON (no NaN or infinities), read back to the same
+    document, and holding in each of its fields the value ``text`` gave.
+    Any other exception escapes and fails the test.
+    """
+    try:
+        obj = read(text)
+    except error:
+        return
+    document = write(obj)
+    fields = json.loads(document, parse_constant=_reject_constant)
+    assert write(read(document)) == document
+    source = json.loads(text)
+    for name, value in fields.items():
+        assert value == source[name], name

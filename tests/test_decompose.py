@@ -93,6 +93,26 @@ class TestMovingAveragePass:
             np.nan_to_num(fast, nan=0.0), np.nan_to_num(slow, nan=0.0)
         )
 
+    @pytest.mark.parametrize("n, window", [
+        (1, 1), (1, 3), (1, 365), (2, 5), (3, 7), (5, 11), (5, 365),
+        (40, 81), (257, 365), (9000, 15),
+    ])
+    def test_matches_brute_force_bit_for_bit(self, n, window):
+        # windows of 2n + 1 and more reach past both ends from every row
+        rng = np.random.default_rng(n * 1000 + window)
+        values = rng.standard_t(3, n) * 10.0 ** rng.uniform(-8, 3, n)
+        values[rng.random(n) < 0.1] = np.nan
+        fast = vf.moving_average_pass(values, window)
+        assert fast.tobytes() == brute_force_moving_average(values, window).tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [np.nan], [np.nan] * 7, [-0.0] * 4, [-0.0, np.nan, -0.0], [0.0, -0.0, 0.0],
+    ])
+    @pytest.mark.parametrize("window", [1, 3, 15])
+    def test_all_missing_and_signed_zero_series(self, values, window):
+        fast = vf.moving_average_pass(np.array(values), window)
+        assert fast.tobytes() == brute_force_moving_average(values, window).tobytes()
+
     @given(
         values=st.lists(
             st.one_of(

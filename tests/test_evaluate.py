@@ -5,11 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import volfit as vf
 from volfit.errors import DegreesOfFreedomError, FormatError, SplitError
 
-from helpers import make_table, planted_table
+from helpers import (
+    assert_rejected_or_read_back,
+    make_table,
+    mutated_documents,
+    planted_table,
+)
 
 LINE = vf.TermSet(((0, 0), (1, 0)))
 
@@ -204,6 +210,43 @@ class TestFitReport:
         document[field] = value
         with pytest.raises(FormatError):
             vf.report_from_document(json.dumps(document))
+
+    @pytest.mark.parametrize("field, value", [
+        ("train_rmse", math.inf),
+        ("test_rmse", math.inf),
+        ("test_rmse", 10 ** 400),
+    ])
+    def test_non_finite_number_rejected(self, field, value):
+        document = json.loads(REPORT_DOCUMENTS[0])
+        document[field] = value
+        with pytest.raises(FormatError, match="finite"):
+            vf.report_from_document(json.dumps(document))
+
+
+def _report_documents():
+    rng = np.random.default_rng(32)
+    documents = []
+    for name, method, excluded in (("trend", "ols", ()), ("remainder", "lar", (3, 9))):
+        table = planted_table(LINE, [1.0, 2.0], 50, rng, noise=0.2)
+        train, test = vf.split_train_test(table, 30)
+        model = vf.fit_ols(train, LINE)
+        report = vf.fit_report(name, method, model, train, test, excluded)
+        documents.append(vf.report_to_document(report))
+    return documents
+
+
+REPORT_DOCUMENTS = _report_documents()
+
+
+class TestReportDocumentFuzz:
+    """A defective report document is refused with FormatError, or read exactly."""
+
+    @given(text=mutated_documents([json.loads(d) for d in REPORT_DOCUMENTS]))
+    @example(text=json.dumps({**json.loads(REPORT_DOCUMENTS[0]), "train_rmse": math.inf}))
+    @settings(max_examples=400, deadline=None)
+    def test_rejected_or_read_back(self, text):
+        assert_rejected_or_read_back(
+            vf.report_from_document, vf.report_to_document, text, FormatError)
 
 
 class TestCoefficientTable:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import volfit as vf
@@ -324,6 +324,87 @@ class TestLoadConfig:
         assert config.outlier_threshold == 2.5
         assert config.confidence_level == 0.9
         assert config.feature_spec.lag == 3
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "0", "-0.0", "-inf"])
+    def test_outlier_threshold_must_exceed_zero(self, value):
+        # NaN compares False with everything: remove_outliers would then
+        # keep no row, and the pipeline would silently exclude none
+        with pytest.raises(ConfigError, match="outlier_threshold"):
+            vf.load_config(f"outlier_threshold = {value}\n")
+        with pytest.raises(ConfigError, match="outlier_threshold"):
+            vf.PipelineConfig(outlier_threshold=float(value))
+
+
+FULL_CONFIG = {
+    "price_column": "Close", "kz_trend_window": "101", "kz_trend_iters": "2",
+    "kz_seasonal_window": "7", "kz_seasonal_iters": "4", "n_train": "500",
+    "fit_method": "bisquare", "outlier_threshold": "2.5", "confidence_level": "0.9",
+    "lag": "3", "terms_volatility": "0:0,0:1,1:0", "terms_trend": "0:0, 1:0",
+    "terms_seasonal": "0:0", "terms_remainder": "0:0,0:1,0:2,1:0,1:1,1:2",
+}
+CONFIG_VALUES = [
+    "nan", "NaN", "-nan", "inf", "-inf", "1e400", "0", "-0.0", "-1", "1", "2",
+    "3", "0.5", "1.0", "7", "101", "2000", "1_000", " 12 ", "", "x", "lar",
+    "ols", "ridge", "0:0", "0:0,0:0", "1:0,0:1", "1:x", "0:-1", "Close", "true",
+]
+JUNK_LINES = ["window = 3", "no equals sign", "# comment", "", "   ", "= 3",
+              "N_TRAIN = 100"]
+
+
+@st.composite
+def config_texts(draw):
+    """The full config document with one defect put in."""
+    lines = [f"{key} = {value}" for key, value in FULL_CONFIG.items()]
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(("value", "value", "delete", "repeat", "junk")))
+    if kind == "value":
+        lines[i] = lines[i].split("=")[0] + "= " + draw(st.sampled_from(CONFIG_VALUES))
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        lines.insert(i, draw(st.sampled_from(JUNK_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+def config_text(config):
+    """The ``key = value`` document of a PipelineConfig."""
+    values = {
+        "kz_trend_window": config.kz_trend[0], "kz_trend_iters": config.kz_trend[1],
+        "kz_seasonal_window": config.kz_seasonal[0],
+        "kz_seasonal_iters": config.kz_seasonal[1], "n_train": config.n_train,
+        "fit_method": config.fit_method, "lag": config.feature_spec.lag,
+        "outlier_threshold": repr(config.outlier_threshold),
+        "confidence_level": repr(config.confidence_level),
+        "price_column": config.price_column or "",
+    }
+    values.update({f"terms_{name}": ",".join(terms.labels())
+                   for name, terms in config.term_sets.items()})
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+class TestConfigFuzz:
+    """A defective config is refused with ConfigError, or read exactly."""
+
+    @given(text=config_texts())
+    @example(text="outlier_threshold = nan\n")
+    @settings(max_examples=400, deadline=None)
+    def test_rejected_or_read_back(self, text):
+        try:
+            config = vf.load_config(text)
+        except ConfigError:
+            return
+        for window, iterations in (config.kz_trend, config.kz_seasonal):
+            assert window >= 3 and window % 2 == 1 and iterations >= 1
+        assert config.fit_method in vf.FIT_METHODS
+        assert config.outlier_threshold > 0
+        assert 0 < config.confidence_level < 1
+        assert config.feature_spec.lag >= 1
+        assert all(config.n_train >= len(t) for t in config.term_sets.values())
+        document = config_text(config)
+        assert vf.load_config(document) == config
+        assert config_text(vf.load_config(document)) == document
 
 
 class TestValidateSeries:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import linalg, optimize, special, stats
 
 import volfit as vf
@@ -20,7 +22,12 @@ from volfit.errors import (
 )
 from volfit.surface import _l1_vertex, _pivoted_qr, _qr_solve, _t_bounds, _wls_solve
 
-from helpers import make_table, planted_table
+from helpers import (
+    assert_rejected_or_read_back,
+    make_table,
+    mutated_documents,
+    planted_table,
+)
 
 LINE = vf.TermSet(((0, 0), (1, 0)))
 BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
@@ -708,6 +715,122 @@ class TestQrKernel:
             _qr_solve(X, z, terms)
 
 
+class TestSolveSpellings:
+    """The spellings around the solve kernel keep the bits of those they replaced."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, -1.0], [5.0, 1.0, 3.0, 2.0, 4.0], [4.0, 1.0, 3.0, 2.0],
+        [1.0, 1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 1.0, 1.0],
+        [-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, 0.0],
+        [np.inf], [np.inf, 1.0, 2.0], [-np.inf, np.inf], [np.inf, np.inf],
+        [-np.inf, 1.0, -np.inf, 2.0], [np.nan], [1.0, np.nan],
+        [np.nan, 1.0, 2.0], [np.inf, np.nan, -np.inf, 0.0],
+    ])
+    def test_median_matches_numpy_bit_for_bit(self, values):
+        a = np.array(values)
+        with np.errstate(invalid="ignore"):
+            expect, got = np.median(a), surface._median(a)
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+        assert np.array(values).tobytes() == a.tobytes()
+
+    @given(values=st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1e-300, 1.0,
+                                            1.0 + 2 ** -52, 3.0, 1e300, np.inf]),
+                           min_size=1, max_size=41))
+    @settings(max_examples=300, deadline=None)
+    def test_median_matches_numpy_on_ties(self, values):
+        a = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect, got = np.median(a), surface._median(a)
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+    def test_median_on_bisquare_residuals(self):
+        rng = np.random.default_rng(8)
+        for n in (1999, 2000):
+            r = rng.standard_t(3, n) * 1e-3
+            assert surface._median(r).tobytes() == np.median(r).tobytes()
+            assert surface._mad_sigma(r) == float(
+                np.median(np.abs(r - np.median(r))) / surface.MAD_TO_SIGMA)
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (40, 1), (60, 5), (2000, 11), (300, 140)])
+    def test_memoised_workspace_equals_a_fresh_query(self, n, p):
+        geqp3, orgqr = surface._lapack()[:2]
+        a = np.asfortranarray(np.random.default_rng(p).standard_normal((n, p)))
+        tau = np.zeros(min(n, p))
+        for _ in range(2):
+            assert surface._lwork(geqp3, a.shape) == int(geqp3(a, lwork=-1)[-2][0])
+            assert surface._lwork(orgqr, a.shape, tau.shape) == int(
+                orgqr(a, tau, lwork=-1)[-2][0])
+
+    def test_workspace_is_queried_once_per_shape(self):
+        rng = np.random.default_rng(9)
+        X, terms = _random_design(rng, 137, 4)
+        z = rng.standard_normal(137)
+        _qr_solve(X, z, terms)
+        misses = surface._lwork.cache_info().misses
+        first = _qr_solve(X, z, terms)[0]
+        assert surface._lwork.cache_info().misses == misses
+        assert first.tobytes() == _scipy_qr_solve(X, z)[0].tobytes()
+
+    @pytest.mark.parametrize("p", range(1, 12))
+    def test_weighted_solve_with_zero_weights_matches_scipy(self, p):
+        rng = np.random.default_rng(60 + p)
+        X, terms = _random_design(rng, 300, p)
+        z = rng.standard_normal(300)
+        w = vf.bisquare_weights(rng.standard_normal(300) / 2.5)
+        w[::7] = 0.0
+        assert np.count_nonzero(w == 0.0) > 40
+        sw = np.sqrt(w)
+        expect, r_expect, piv_expect, rank = _scipy_qr_solve(X * sw[:, None], z * sw)
+        assert rank == p
+        beta, (r, piv) = _wls_solve(X, z, w, terms)
+        assert beta.tobytes() == expect.tobytes()
+        assert np.triu(r).tobytes() == r_expect.tobytes()
+        assert np.array_equal(piv, piv_expect)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_weighted_solve_and_bounds_leave_the_design_unchanged(self, p, order):
+        # an (n, 1) design is both C- and Fortran-contiguous, so LAPACK
+        # would factor it in place if it were handed over uncopied
+        rng = np.random.default_rng(10)
+        X, terms = _random_design(rng, 40, p)
+        X = np.array(X, order=order)
+        z = rng.standard_normal(40)
+        w = rng.uniform(0.0, 2.0, 40)
+        before = X.tobytes(), z.tobytes(), w.tobytes()
+        _wls_solve(X, z, w, terms)
+        _t_bounds(X, w, 0.5, (0.0,) * p, 0.95)
+        assert (X.tobytes(), z.tobytes(), w.tobytes()) == before
+
+
+def _one_sort_line_search(t, weight, descent):
+    order = np.argsort(t, kind="stable")
+    return order[:int(np.searchsorted(np.cumsum(weight[order]), descent)) + 1]
+
+
+class TestLineSearch:
+    """Sorting the breakpoints a prefix at a time gives the one-sort result."""
+
+    @given(size=st.integers(1, 1500), ties=st.sampled_from([3, 40, 10 ** 6]),
+           share=st.floats(0.0, 1.2), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_stable_sort(self, size, ties, share, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.integers(-ties, ties, size) * rng.choice([1e-3, -0.0, 0.0], size)
+        weight = rng.exponential(1.0, size) * (rng.random(size) < 0.9)
+        descent = share * float(np.sum(weight))
+        got = surface._line_search(t, weight, descent)
+        assert np.array_equal(got, _one_sort_line_search(t, weight, descent))
+
+    @pytest.mark.parametrize("stop", [0, 63, 64, 65, 300, 999, 1000])
+    def test_stop_at_each_round_edge(self, stop):
+        t = np.linspace(1.0, 0.0, 1000)
+        weight = np.ones(1000)
+        got = surface._line_search(t, weight, stop + 0.5)
+        assert np.array_equal(got, _one_sort_line_search(t, weight, stop + 0.5))
+        assert got.size == min(stop + 1, 1000)
+
+
 class TestEvaluateSurface:
     def _model(self, terms, coefficients):
         return vf.PolySurfaceModel(
@@ -823,6 +946,15 @@ class TestRemoveOutliers:
         with pytest.raises(ValueError):
             vf.remove_outliers(table, model, 0.0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, -math.inf])
+    def test_threshold_that_compares_false_is_rejected(self, threshold):
+        # every comparison with NaN is False, so a NaN threshold would keep
+        # no row at all
+        table = make_table([0.5, 1.0, 1.5], [1.0, 2.0, 3.0], [1.0, 2.0, 2.5])
+        model = vf.fit_ols(table, LINE)
+        with pytest.raises(ValueError, match="threshold"):
+            vf.remove_outliers(table, model, threshold)
+
 
 class TestModelDocuments:
     def test_round_trip(self):
@@ -886,3 +1018,49 @@ class TestModelDocuments:
         model = vf.model_from_document(json.dumps(document))
         assert model.converged is True
         assert model.iterations == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("coefficients", [math.inf, 0.0, 0.0, 0.0, 0.0]),
+        ("bounds", [[-math.inf, math.inf]] * 5),
+        ("bounds", [[math.nan, 1.0]] * 5),
+        ("sigma", math.inf),
+        ("sigma", 10 ** 400),
+    ])
+    def test_non_finite_number_rejected(self, document, field, value):
+        document[field] = value
+        if field == "coefficients":
+            document["bounds"] = [[-math.inf, math.inf]] * 5
+        with pytest.raises(FormatError, match="finite"):
+            vf.model_from_document(json.dumps(document))
+
+    def test_deep_nesting_rejected(self, document):
+        text = json.dumps(document).replace('"terms": [', '"terms": ' + "[" * 5000, 1)
+        with pytest.raises(FormatError):
+            vf.model_from_document(text)
+
+
+def _model_documents():
+    rng = np.random.default_rng(29)
+    documents = []
+    for method, name in zip(vf.FIT_METHODS, ("volatility", "seasonal", "remainder")):
+        terms = vf.DEFAULT_TERM_SETS[name]
+        table = planted_table(terms, rng.normal(0, 1, len(terms)), 40, rng, noise=0.1)
+        fit = getattr(vf, f"fit_{method}")
+        documents.append(json.loads(vf.model_to_document(fit(table, terms))))
+    return documents
+
+
+MODEL_DOCUMENTS = _model_documents()
+
+
+class TestModelDocumentFuzz:
+    """A defective model document is refused with FormatError, or read exactly."""
+
+    @given(text=mutated_documents(MODEL_DOCUMENTS))
+    @example(text=json.dumps({**MODEL_DOCUMENTS[0], "sigma": math.inf}))
+    @example(text=json.dumps({**MODEL_DOCUMENTS[0],
+                              "bounds": [[-math.inf, math.inf]] * 5}))
+    @settings(max_examples=400, deadline=None)
+    def test_rejected_or_read_back(self, text):
+        assert_rejected_or_read_back(
+            vf.model_from_document, vf.model_to_document, text, FormatError)
