@@ -533,21 +533,10 @@ def _line_search(t: np.ndarray, weight: np.ndarray, descent: float) -> np.ndarra
     median of t: the first breakpoint (ascending t, ties to the lower
     index) after which the slope is >= 0.  If rounding keeps the slope
     below zero throughout, the exchange stops at the last breakpoint.
-
-    Most exchanges stop within a few dozen of ~1000 breakpoints, so the
-    order is sorted for the 64 smallest t (ties included) first, then four
-    times as many, until the stop lies inside; a prefix of the order and
-    its running weight are the same however far the sort goes.
     """
-    size = 64
-    while True:
-        cut = np.partition(t, size - 1)[size - 1] if size < t.size else np.inf
-        head = np.flatnonzero(t <= cut)
-        order = head[np.argsort(t[head], kind="stable")]
-        stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
-        if stop < order.size or order.size == t.size:
-            return order[:stop + 1]
-        size *= 4
+    order = np.argsort(t, kind="stable")
+    stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
+    return order[:stop + 1]
 
 
 def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,

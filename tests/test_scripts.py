@@ -1,6 +1,7 @@
-"""Smoke test of scripts/artifact_hashes.py on the bundled price file."""
+"""Smoke tests of the scripts in scripts/."""
 
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -33,3 +34,25 @@ def test_artifact_hashes_cover_every_artifact(tmp_path):
         assert hashes[name] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert f"{BUNDLED}:lar:evaluate/stdout" in hashes
     assert f"{BUNDLED}:decompose/decomposition.csv" in hashes
+
+
+def test_fit_paths_records_every_fit_of_an_op():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fit_paths.py"), "3", "5", "5"],
+        capture_output=True, text=True, check=True,
+    )
+    op_line, summary = proc.stdout.splitlines()
+    op, records = op_line.split(" ", 1)
+    assert op == "5"
+    records = json.loads(records)
+    # per method: four first fits, one outlier pass each, a refit after each
+    # pass that excluded rows
+    passes = [r[1] for r in records if r[0] == "excluded"]
+    assert len(passes) == 3 * 4
+    fits = sum(r[0] != "excluded" for r in records)
+    assert fits == 3 * 4 + sum(rows > 0 for rows in passes)
+    assert all(r[1:] == [0, True] for r in records if r[0] == "ols")
+    counters = json.loads(summary)
+    assert counters["surface.excluded_rows"] == sum(passes)
+    assert counters["surface.irls_solves.lar"] == sum(
+        r[1] for r in records if r[0] == "lar")

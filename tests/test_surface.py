@@ -803,34 +803,6 @@ class TestSolveSpellings:
         assert (X.tobytes(), z.tobytes(), w.tobytes()) == before
 
 
-def _one_sort_line_search(t, weight, descent):
-    order = np.argsort(t, kind="stable")
-    return order[:int(np.searchsorted(np.cumsum(weight[order]), descent)) + 1]
-
-
-class TestLineSearch:
-    """Sorting the breakpoints a prefix at a time gives the one-sort result."""
-
-    @given(size=st.integers(1, 1500), ties=st.sampled_from([3, 40, 10 ** 6]),
-           share=st.floats(0.0, 1.2), seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_one_stable_sort(self, size, ties, share, seed):
-        rng = np.random.default_rng(seed)
-        t = rng.integers(-ties, ties, size) * rng.choice([1e-3, -0.0, 0.0], size)
-        weight = rng.exponential(1.0, size) * (rng.random(size) < 0.9)
-        descent = share * float(np.sum(weight))
-        got = surface._line_search(t, weight, descent)
-        assert np.array_equal(got, _one_sort_line_search(t, weight, descent))
-
-    @pytest.mark.parametrize("stop", [0, 63, 64, 65, 300, 999, 1000])
-    def test_stop_at_each_round_edge(self, stop):
-        t = np.linspace(1.0, 0.0, 1000)
-        weight = np.ones(1000)
-        got = surface._line_search(t, weight, stop + 0.5)
-        assert np.array_equal(got, _one_sort_line_search(t, weight, stop + 0.5))
-        assert got.size == min(stop + 1, 1000)
-
-
 class TestEvaluateSurface:
     def _model(self, terms, coefficients):
         return vf.PolySurfaceModel(
