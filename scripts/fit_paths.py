@@ -32,26 +32,31 @@ from volfit.ingest import PipelineConfig  # noqa: E402
 def op_paths(seed: int, first: int, last: int) -> dict[int, list]:
     """The fit and outlier-pass records of each op in first..last."""
     records = []
+    originals = {name: getattr(sf, name) for name in
+                 [f"fit_{m}" for m in sf.FIT_METHODS] + ["remove_outliers"]}
 
-    def recorded(name, fn, record):
+    def recorded(name, record):
         def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
+            out = originals[name](*args, **kwargs)
             records.append(record(out))
             return out
         setattr(sf, name, wrapper)
 
     for method in sf.FIT_METHODS:
-        recorded(f"fit_{method}", getattr(sf, f"fit_{method}"),
+        recorded(f"fit_{method}",
                  lambda model, m=method: [m, model.iterations, model.converged])
-    recorded("remove_outliers", sf.remove_outliers,
-             lambda out: ["excluded", len(out[1])])
+    recorded("remove_outliers", lambda out: ["excluded", len(out[1])])
     paths = {}
-    for i in range(first, last + 1):
-        raw, _ = gen.series(seed, "fit-batch", i, (gen.BUNDLED_LENGTH,) * 2)
-        records.clear()
-        for method in sf.FIT_METHODS:
-            cli.run_pipeline(raw, PipelineConfig(fit_method=method))
-        paths[i] = list(records)
+    try:
+        for i in range(first, last + 1):
+            raw, _ = gen.series(seed, "fit-batch", i, (gen.BUNDLED_LENGTH,) * 2)
+            records.clear()
+            for method in sf.FIT_METHODS:
+                cli.run_pipeline(raw, PipelineConfig(fit_method=method))
+            paths[i] = list(records)
+    finally:
+        for name, fn in originals.items():
+            setattr(sf, name, fn)
     return paths
 
 
