@@ -194,37 +194,56 @@ def export_coefficient_table(models: Mapping[str, PolySurfaceModel]) -> str:
     return buf.getvalue()
 
 
+def _table_exponent(text: str) -> int:
+    """A coefficient-table exponent: a non-negative integer in plain digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise FormatError(f"exponent must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _table_number(text: str) -> float:
+    """One of a coefficient cell's numbers: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(
+            f"cannot parse number {text!r} in a coefficient cell") from None
+    return _number(value, "coefficient table entry")
+
+
 def parse_coefficient_table(text: str):
     """Inverse of export_coefficient_table.
 
     Returns {series_name: {(m, n): (coefficient, lower, upper)}} with the
-    exact float values that were emitted.
+    exact float values that were emitted.  Raises FormatError on a cell
+    that is not "value (lower, upper)" of three finite numbers, on an
+    exponent that is not a non-negative integer, on a row longer than the
+    header and on a term given twice.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:2] != ["m", "series"]:
         raise FormatError("coefficient table lacks the m,series header")
-    try:
-        ns = [int(cell.split("=", 1)[1]) for cell in rows[0][2:]]
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad coefficient table header: {exc}") from exc
+    header = rows[0]
+    if not all(cell.startswith("n=") for cell in header[2:]):
+        raise FormatError(f"bad coefficient table header {header!r}")
+    ns = [_table_exponent(cell[2:]) for cell in header[2:]]
     out: dict[str, dict[tuple[int, int], tuple[float, float, float]]] = {}
     for row in rows[1:]:
         if not row:
             continue
-        try:
-            m = int(row[0])
-            series = _LETTER_SERIES[row[1]]
-        except (KeyError, ValueError, IndexError) as exc:
-            raise FormatError(f"bad coefficient table row {row!r}: {exc}") from exc
+        if len(row) < 2 or row[1] not in _LETTER_SERIES or len(row) > len(header):
+            raise FormatError(f"bad coefficient table row {row!r}")
+        m, series = _table_exponent(row[0]), _LETTER_SERIES[row[1]]
         for n, cell in zip(ns, row[2:]):
             if not cell:
                 continue
             match = _CELL_RE.match(cell)
             if match is None:
                 raise FormatError(f"cannot parse coefficient cell {cell!r}")
-            out.setdefault(series, {})[(m, n)] = (
-                float(match["coef"]), float(match["lo"]), float(match["hi"])
-            )
+            terms = out.setdefault(series, {})
+            if (m, n) in terms:
+                raise FormatError(f"term ({m}, {n}) of {series} is given twice")
+            terms[(m, n)] = tuple(_table_number(match[g]) for g in ("coef", "lo", "hi"))
     return out
 
 

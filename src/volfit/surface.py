@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,17 @@ SERIES_NAMES = ("volatility", "trend", "seasonal", "remainder")
 # MAD of a standard normal; dividing a median absolute deviation by this
 # turns it into a consistent estimate of the Gaussian sigma.
 MAD_TO_SIGMA = 0.6745
+
+# The robust fits' constants: Tukey's bisquare c (95% efficiency at the
+# normal), bisquare's coefficient-step tolerance, and the floor of LAR's
+# bound weights in units of the ordinary start's sigma (see ``fit_lar``).
+BISQUARE_CONSTANT = 4.685
+BISQUARE_TOLERANCE = 1e-8
+LAR_FLOOR = 1e-8
+# Caps on LAR's basis exchanges and bisquare's reweighted solves, read by
+# the fits at call time.
+LAR_MAX_EXCHANGES = 50
+BISQUARE_MAX_SOLVES = 50
 
 
 @dataclass(frozen=True)
@@ -163,28 +174,6 @@ class FeatureTable:
 
 
 @dataclass(frozen=True)
-class IrlsOptions:
-    """Tuning knobs for the robust fits.
-
-    ``max_iterations`` caps bisquare's reweighted solves and LAR's basis
-    exchanges.  ``tolerance`` is bisquare's coefficient-step test; LAR
-    stops on its optimality certificate instead.  ``lar_floor`` sets only
-    the LAR bound weights (see ``fit_lar``).
-    """
-
-    max_iterations: int = 50
-    tolerance: float = 1e-8
-    lar_floor: float = 1e-8
-    bisquare_constant: float = 4.685
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0 or self.lar_floor <= 0 or self.bisquare_constant <= 0:
-            raise ValueError("tolerance, lar_floor, and bisquare_constant must be > 0")
-
-
-@dataclass(frozen=True)
 class PolySurfaceModel:
     """Fitted surface: coefficients with confidence bounds and fit metadata.
 
@@ -192,10 +181,9 @@ class PolySurfaceModel:
     exchanges (0 for OLS).  ``converged`` means bisquare met its step
     tolerance, or that LAR's vertex carries the L1 optimality certificate;
     LAR reports False also when the cap is hit on an optimal vertex, whose
-    certificate is then not tested (see ``fit_lar``).
-    ``weights`` keeps the final reweighting used by the robust fits so that
-    standard errors can be recomputed; it is internal state and is not part
-    of the serialized document.
+    certificate is then not tested (see ``fit_lar``).  Every field is
+    written to the model document, and the bounds can be rebuilt from the
+    document and the fit's table (see ``confidence_bounds``).
     """
 
     term_set: TermSet
@@ -206,7 +194,6 @@ class PolySurfaceModel:
     sigma: float
     iterations: int
     converged: bool = True
-    weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in FIT_METHODS:
@@ -399,6 +386,8 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
     """
     from scipy.special import stdtrit
 
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     n, p = X.shape
     for w in (weights, np.ones(n)):
         a = np.multiply(X, np.sqrt(w)[:, None], order="F")
@@ -418,24 +407,20 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
     )
 
 
-def _finish_model(
-    method: str,
-    table: FeatureTable,
-    terms: TermSet,
-    X: np.ndarray,
-    beta: np.ndarray,
-    weights: np.ndarray,
-    iterations: int,
-    converged: bool,
-    confidence_level: float,
-) -> PolySurfaceModel:
-    """Assemble the model record: sigma, t-based bounds, bookkeeping."""
+def _finish_model(method: str, table: FeatureTable, terms: TermSet, X: np.ndarray,
+                  beta: np.ndarray, floor: float, iterations: int, converged: bool,
+                  confidence_level: float) -> PolySurfaceModel:
+    """Assemble the model record: sigma, t-based bounds, bookkeeping.
+
+    The bounds weight the rows as ``confidence_bounds`` does on a reload.
+    """
     n, p = X.shape
     residuals = table.target - X @ beta
     sse = float(residuals @ residuals)
     coefficients = tuple(float(b) for b in beta)
     if n > p:
         sigma = math.sqrt(sse / (n - p))
+        weights = _final_weights(method, residuals, p, floor)
         bounds = _t_bounds(X, weights, sigma, coefficients, confidence_level)
     else:
         # interpolating fit: zero residual degrees of freedom, point bounds
@@ -449,7 +434,6 @@ def _finish_model(
         sigma=sigma,
         iterations=iterations,
         converged=converged,
-        weights=np.asarray(weights, dtype=float),
     )
 
 
@@ -465,17 +449,17 @@ def _ols_start(table: FeatureTable, terms: TermSet):
     return X, beta
 
 
-def _lar_floor(residuals: np.ndarray, p: int, lar_floor: float) -> float:
-    """lar_floor times the sigma of the OLS start's residuals; 0 if it interpolates."""
+def _lar_floor(residuals: np.ndarray, p: int) -> float:
+    """LAR_FLOOR times the sigma of the OLS start's residuals; 0 if it interpolates."""
     n = residuals.size
     sse = float(residuals @ residuals)
     if n == p or sse == 0.0:
         return 0.0
-    return lar_floor * math.sqrt(sse / (n - p))
+    return LAR_FLOOR * math.sqrt(sse / (n - p))
 
 
 def _final_weights(method: str, residuals: np.ndarray, p: int,
-                   opts: IrlsOptions, floor: float) -> np.ndarray:
+                   floor: float) -> np.ndarray:
     """The weights a fit of ``method`` ends with, given its final residuals."""
     if method == "lar" and floor > 0.0:
         return 1.0 / np.maximum(np.abs(residuals), floor)
@@ -485,7 +469,7 @@ def _final_weights(method: str, residuals: np.ndarray, p: int,
     scale = _mad_sigma(residuals)
     if scale == 0.0:
         return ones
-    weights = bisquare_weights(residuals / (opts.bisquare_constant * scale))
+    weights = bisquare_weights(residuals / (BISQUARE_CONSTANT * scale))
     return weights if np.count_nonzero(weights) >= p else ones
 
 
@@ -497,7 +481,7 @@ def fit_ols(table: FeatureTable, terms: TermSet,
     """
     X, beta = _ols_start(table, terms)
     return _finish_model(
-        "ols", table, terms, X, beta, np.ones(len(table)),
+        "ols", table, terms, X, beta, 0.0,
         iterations=0, converged=True, confidence_level=confidence_level,
     )
 
@@ -609,13 +593,12 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
 
 
 def fit_lar(table: FeatureTable, terms: TermSet,
-            opts: IrlsOptions | None = None,
             confidence_level: float = 0.95) -> PolySurfaceModel:
     """Least absolute residuals: argmin sum|r_i| at a certified L1 vertex.
 
     Starts from the ordinary solution and exchanges basis rows until the
     vertex carries the optimality certificate (``converged=True``);
-    ``iterations`` counts the exchanges, at most ``opts.max_iterations``.
+    ``iterations`` counts the exchanges, at most ``LAR_MAX_EXCHANGES``.
     ``converged=False`` says no certificate test passed, not that the fit
     is suboptimal: the vertex the last allowed exchange reaches is not
     tested, so a fit the cap stops reports False even on an optimal vertex.
@@ -623,51 +606,47 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     ordinary start has the smaller sum|r|, as it can when the cap stops the
     fit; sum|r| never exceeds the start's.  A start that interpolates the
     rows is returned as-is, and so, unconverged, is one of a design with no
-    p rows independent within rounding.  ``opts.lar_floor`` times the
-    starting sigma floors |r| in the bound weights 1 / max(|r|, floor).
+    p rows independent within rounding.  ``LAR_FLOOR`` times the starting
+    sigma floors |r| in the bound weights 1 / max(|r|, floor).
     """
-    opts = opts or IrlsOptions()
     X, start = _ols_start(table, terms)
     y = table.target
     residuals = y - X @ start
-    floor = _lar_floor(residuals, X.shape[1], opts.lar_floor)
+    floor = _lar_floor(residuals, X.shape[1])
     beta, exchanges, certified = start, 0, True
     if floor > 0.0:
-        vertex, exchanges, certified = _l1_vertex(X, y, residuals, opts.max_iterations)
+        vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
         if vertex is not None and (np.sum(np.abs(y - X @ vertex))
                                    <= np.sum(np.abs(residuals))):
             beta = vertex
-    weights = _final_weights("lar", y - X @ beta, X.shape[1], opts, floor)
     return _finish_model(
-        "lar", table, terms, X, beta, weights,
+        "lar", table, terms, X, beta, floor,
         iterations=exchanges, converged=certified,
         confidence_level=confidence_level,
     )
 
 
 def fit_bisquare(table: FeatureTable, terms: TermSet,
-                 opts: IrlsOptions | None = None,
                  confidence_level: float = 0.95) -> PolySurfaceModel:
     """Tukey bisquare IRLS: w = (1 - u**2)**2 inside |u| < 1, else 0.
 
-    u = r / (c * sigma_mad) with sigma_mad the median absolute deviation of
-    the residuals about their median over 0.6745, recomputed every
-    iteration; points far from the surface lose all weight.  A zero
-    sigma_mad means the surface already interpolates the bulk of the rows
-    and the current iterate is returned as-is.
+    u = r / (c * sigma_mad) with c = BISQUARE_CONSTANT and sigma_mad the
+    median absolute deviation of the residuals about their median over
+    0.6745, recomputed every iteration; points far from the surface lose
+    all weight.  A zero sigma_mad means the surface already interpolates
+    the bulk of the rows and the current iterate is returned as-is.
     """
-    opts = opts or IrlsOptions()
     X, beta = _ols_start(table, terms)
     y = table.target
     n, p = X.shape
     converged, solves = n == p, 0
-    while not converged and solves < opts.max_iterations:
+    while not converged and solves < BISQUARE_MAX_SOLVES:
         residuals = y - X @ beta
         scale = _mad_sigma(residuals)
         if scale == 0.0:
             converged = True
             break
-        w = bisquare_weights(residuals / (opts.bisquare_constant * scale))
+        w = bisquare_weights(residuals / (BISQUARE_CONSTANT * scale))
         if np.count_nonzero(w) < p:
             break
         try:
@@ -678,10 +657,9 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
         step = float(np.max(np.abs(candidate - beta)))
         ref = max(float(np.max(np.abs(candidate))), np.finfo(float).tiny)
         beta = candidate
-        converged = step <= opts.tolerance * ref
-    weights = _final_weights("bisquare", y - X @ beta, p, opts, 0.0)
+        converged = step <= BISQUARE_TOLERANCE * ref
     return _finish_model(
-        "bisquare", table, terms, X, beta, weights,
+        "bisquare", table, terms, X, beta, 0.0,
         iterations=solves, converged=converged,
         confidence_level=confidence_level,
     )
@@ -694,13 +672,11 @@ def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
     bound = c +- t_{1-(1-level)/2, n-p} * se(c), with the standard errors
     taken from the diagonal of sigma^2 (X'WX)^-1 where W holds the weights
     the fit ended with: 1 / max(|r|, floor) for LAR, the biweights for
-    bisquare, the identity for ordinary least squares.  A model read back
-    from its document carries no weights; they are rebuilt from the
-    table's residuals as a fit with default ``IrlsOptions`` ends, so the
-    stored bounds are reproduced exactly for such fits.  A fit run with
-    other options does not reproduce: for bisquare fits with
-    ``bisquare_constant=2.0`` on the bundled series the widths come back
-    16-21% off.
+    bisquare, the identity for ordinary least squares.  The weights are
+    rebuilt from the coefficients and the table's residuals as the fit
+    built them, so on the fit's table a fitted model and its reloaded
+    document both give the stored bounds exactly.  Raises ValueError
+    unless 0 < level < 1.
     """
     n, p = len(table), len(model.term_set)
     if n <= p:
@@ -708,15 +684,13 @@ def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
             f"confidence bounds need more rows ({n}) than terms ({p})"
         )
     X = design_matrix(table, model.term_set)
-    weights = model.weights
-    if weights is None or len(weights) != n:
-        opts, floor = IrlsOptions(), 0.0
-        if model.method == "lar":
-            # the floor comes from the OLS start; no other method uses it
-            start, _ = _qr_solve(X, table.target, model.term_set)
-            floor = _lar_floor(table.target - X @ start, p, opts.lar_floor)
-        residuals = table.target - X @ np.asarray(model.coefficients)
-        weights = _final_weights(model.method, residuals, p, opts, floor)
+    floor = 0.0
+    if model.method == "lar":
+        # the floor comes from the OLS start; no other method uses it
+        start, _ = _qr_solve(X, table.target, model.term_set)
+        floor = _lar_floor(table.target - X @ start, p)
+    residuals = table.target - X @ np.asarray(model.coefficients)
+    weights = _final_weights(model.method, residuals, p, floor)
     return _t_bounds(X, weights, model.sigma, model.coefficients, level)
 
 

@@ -1,6 +1,8 @@
 """Shared test utilities: independent oracles, table builders, fuzz inputs."""
 
 import copy
+import csv
+import io
 import json
 import math
 
@@ -89,6 +91,42 @@ def mutated_documents(draw, documents):
     if kind == "cut":
         return text[:draw(st.integers(0, len(text) - 1))]
     return text.replace('"@nest@"', "[" * NESTING + "]" * NESTING)
+
+
+# What a mutation puts in place of one coefficient-table cell, or after a row
+TABLE_CELLS = (
+    "", "m", "series", "V", "Q", "0", "7", "-1", "+1", "1.5", "n=0", "n=9",
+    "n=x", "n=-1", "abc (1.0, 2.0)", "1e999 (1.0, 2.0)", "nan (1.0, 2.0)",
+    "1.0 (-inf, 2.0)", "1.0 (0.5, 2.0)", "1.0 (2.0, 3.0)", "1_0 (5.0, 20.0)",
+    "1.0", "(1.0, 2.0)", "1.0 (2.0)", "1.0 (0.5, 2.0) x", "1.0 (0.5,2.0)",
+)
+
+
+@st.composite
+def mutated_tables(draw, tables):
+    """One of the coefficient ``tables`` (CSV texts) with one defect put in.
+
+    A cell is replaced by one of ``TABLE_CELLS`` or one is added after a
+    row's last cell, a row is deleted or repeated, or the text is cut short.
+    """
+    rows = list(csv.reader(io.StringIO(draw(st.sampled_from(tables)))))
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(("cell", "extra", "delete", "repeat", "cut")))
+    if kind == "cell":
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from(TABLE_CELLS))
+    elif kind == "extra":
+        rows[i].append(draw(st.sampled_from(TABLE_CELLS)))
+    elif kind == "delete":
+        del rows[i]
+    elif kind == "repeat":
+        rows.insert(i, list(rows[i]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    return text
 
 
 def _reject_constant(name):

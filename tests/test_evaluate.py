@@ -1,5 +1,7 @@
 """Tests for splits, RMSE, fit reports, and coefficient-table emission."""
 
+import csv
+import io
 import json
 import math
 
@@ -9,11 +11,13 @@ from hypothesis import example, given, settings
 
 import volfit as vf
 from volfit.errors import DegreesOfFreedomError, FormatError, SplitError
+from volfit.evaluate import SERIES_LETTERS
 
 from helpers import (
     assert_rejected_or_read_back,
     make_table,
     mutated_documents,
+    mutated_tables,
     planted_table,
 )
 
@@ -324,6 +328,22 @@ class TestCoefficientTable:
         with pytest.raises(FormatError):
             vf.parse_coefficient_table("not,a,table\n1,2,3\n")
 
+    @pytest.mark.parametrize("cell", [
+        "abc (1.0, 2.0)", "1e999 (1.0, 2.0)", "nan (1.0, 2.0)", "1.0 (0.5, inf)",
+    ])
+    def test_parse_rejects_a_cell_that_is_not_three_finite_numbers(self, cell):
+        with pytest.raises(FormatError):
+            vf.parse_coefficient_table(f'm,series,n=0\n0,V,"{cell}"\n')
+
+    @pytest.mark.parametrize("row", [
+        '0,V,"1.0 (0.5, 1.5)","2.0 (1.5, 2.5)"',
+        '0,V,"1.0 (0.5, 1.5)"\n0,V,"1.0 (0.5, 1.5)"',
+        '-1,V,"1.0 (0.5, 1.5)"',
+    ], ids=["longer-than-header", "term-twice", "negative-exponent"])
+    def test_parse_rejects_a_malformed_row(self, row):
+        with pytest.raises(FormatError):
+            vf.parse_coefficient_table(f"m,series,n=0\n{row}\n")
+
     def test_flat_csv_layout_and_round_trip(self):
         rng = np.random.default_rng(32)
         table = planted_table(LINE, [1.5, -0.5], 40, rng, noise=0.2)
@@ -342,3 +362,54 @@ class TestCoefficientTable:
             assert float(cells[3]) == c
             assert float(cells[4]) == lo
             assert float(cells[5]) == hi
+
+
+def _coefficient_tables():
+    rng = np.random.default_rng(33)
+    models = {}
+    for name, terms in vf.DEFAULT_TERM_SETS.items():
+        table = planted_table(terms, rng.normal(0, 1, len(terms)), 40, rng, noise=0.2)
+        models[name] = vf.fit_ols(table, terms)
+    return [vf.export_coefficient_table(models),
+            vf.export_coefficient_table({"seasonal": models["seasonal"]})]
+
+
+COEFFICIENT_TABLES = _coefficient_tables()
+
+
+def _cells_as_written(text):
+    """{(series, m, n): numbers} of every non-blank cell, read plainly.
+
+    Fails on what the parser must refuse: a row longer than the header, a
+    term given twice, or a cell that is not three finite numbers.
+    """
+    header, *rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    ns = [int(cell.removeprefix("n=")) for cell in header[2:]]
+    letters = {letter: name for name, letter in SERIES_LETTERS.items()}
+    cells = {}
+    for row in rows:
+        assert len(row) <= len(header)
+        for n, cell in zip(ns, row[2:]):
+            if cell:
+                key = (letters[row[1]], int(row[0]), n)
+                assert key not in cells
+                coef, bounds = cell.split(" (")
+                lo, hi = bounds.removesuffix(")").split(", ")
+                cells[key] = (float(coef), float(lo), float(hi))
+                assert all(map(math.isfinite, cells[key]))
+    return cells
+
+
+class TestCoefficientTableFuzz:
+    """A defective coefficient table is refused with FormatError, or read exactly."""
+
+    @given(text=mutated_tables(COEFFICIENT_TABLES))
+    @example(text=COEFFICIENT_TABLES[1] + COEFFICIENT_TABLES[1].splitlines()[1] + "\n")
+    @settings(max_examples=400, deadline=None)
+    def test_rejected_or_read_exactly(self, text):
+        try:
+            parsed = vf.parse_coefficient_table(text)
+        except FormatError:
+            return
+        assert {(name, m, n): numbers for name, terms in parsed.items()
+                for (m, n), numbers in terms.items()} == _cells_as_written(text)

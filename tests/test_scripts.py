@@ -7,18 +7,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+import scipy
+
 from volfit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-BUNDLED = ROOT / "data" / "synthetic_vix.csv"
+# relative to ROOT, as the pinned hash lines name it
+BUNDLED = "data/synthetic_vix.csv"
+PINNED_HASHES = ROOT / "tests" / "data" / "artifact_hashes.txt"
 
 
-def test_artifact_hashes_cover_every_artifact(tmp_path):
+@pytest.fixture(scope="module")
+def bundled_hash_lines():
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "artifact_hashes.py"), str(BUNDLED)],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "scripts/artifact_hashes.py", BUNDLED],
+        cwd=ROOT, capture_output=True, text=True, check=True,
     )
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_artifact_hashes_cover_every_artifact(tmp_path, bundled_hash_lines):
+    lines = bundled_hash_lines
     # decompose once, then per method 9 fit files, 8 plot files, 1 stdout
     assert len(lines) == 1 + 3 * (9 + 8 + 1)
     hashes = {}
@@ -27,13 +38,26 @@ def test_artifact_hashes_cover_every_artifact(tmp_path):
         assert match, line
         hashes[match[2]] = match[1]
     assert len(hashes) == len(lines)
-    assert main(["fit", "--input", str(BUNDLED), "--method", "bisquare",
+    assert main(["fit", "--input", str(ROOT / BUNDLED), "--method", "bisquare",
                  "--out-dir", str(tmp_path)]) == 0
     for path in tmp_path.iterdir():
         name = f"{BUNDLED}:bisquare:fit/{path.name}"
         assert hashes[name] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert f"{BUNDLED}:lar:evaluate/stdout" in hashes
     assert f"{BUNDLED}:decompose/decomposition.csv" in hashes
+
+
+def test_artifacts_keep_their_pinned_bytes(bundled_hash_lines):
+    # a change that is meant to alter an artifact rewrites the pinned file
+    # in its own diff; LAPACK and numpy builds may round differently, so the
+    # file holds only for the versions it names
+    text = PINNED_HASHES.read_text()
+    pinned = re.search(r"^# numpy (\S+) scipy (\S+)$", text, re.MULTILINE).groups()
+    if pinned != (np.__version__, scipy.__version__):
+        pytest.skip(f"hashes pinned under numpy {pinned[0]} and scipy {pinned[1]}, "
+                    f"not numpy {np.__version__} and scipy {scipy.__version__}")
+    assert bundled_hash_lines == [line for line in text.splitlines()
+                                  if not line.startswith("#")]
 
 
 def test_fit_paths_records_every_fit_of_an_op():

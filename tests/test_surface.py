@@ -1,5 +1,6 @@
 """Tests for feature construction and the three surface-fitting methods."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -261,10 +262,11 @@ class TestFitLar:
         for before, after in zip(history, history[1:]):
             assert after <= before * (1.0 + 1e-12)
 
-    def test_nonconvergence_reports_flag(self):
+    def test_nonconvergence_reports_flag(self, monkeypatch):
         rng = np.random.default_rng(8)
         table = planted_table(LINE, [1.0, 2.0], 500, rng, noise=0.5)
-        model = vf.fit_lar(table, LINE, vf.IrlsOptions(max_iterations=2))
+        monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 2)
+        model = vf.fit_lar(table, LINE)
         assert not model.converged
         assert model.iterations <= 2
 
@@ -275,14 +277,6 @@ class TestFitLar:
         assert model.converged
         r = table.target - vf.evaluate_surface(model, table.x, table.y)
         assert np.max(np.abs(r)) < 1e-12
-
-    def test_irls_options_validation(self):
-        with pytest.raises(ValueError):
-            vf.IrlsOptions(max_iterations=0)
-        with pytest.raises(ValueError):
-            vf.IrlsOptions(tolerance=0.0)
-        with pytest.raises(ValueError):
-            vf.IrlsOptions(lar_floor=-1.0)
 
 
 def _abs_sum(table, terms, coefficients) -> float:
@@ -352,7 +346,7 @@ class TestL1Vertex:
             u = np.linalg.solve(X[basis].T, X[rest].T @ np.sign(r[rest]))
             assert np.max(np.abs(u)) <= 1.0 + 1e-9
 
-    def test_never_worse_than_the_ols_start(self):
+    def test_never_worse_than_the_ols_start(self, monkeypatch):
         _, results = run_pipeline(BUNDLED.read_text(), vf.PipelineConfig())
         cases = [(r["train"], r["model"].term_set) for r in results.values()]
         for seed in range(6):
@@ -361,10 +355,11 @@ class TestL1Vertex:
         for table, terms in cases:
             start = _abs_sum(table, terms, vf.fit_ols(table, terms).coefficients)
             for cap in (1, 2, 50):
-                model = vf.fit_lar(table, terms, vf.IrlsOptions(max_iterations=cap))
+                monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", cap)
+                model = vf.fit_lar(table, terms)
                 assert _abs_sum(table, terms, model.coefficients) <= start
 
-    def test_capped_fit_returns_the_better_of_start_and_vertex(self):
+    def test_capped_fit_returns_the_better_of_start_and_vertex(self, monkeypatch):
         picked = set()
         terms = vf.DEFAULT_TERM_SETS["remainder"]
         for seed in range(4):
@@ -374,7 +369,8 @@ class TestL1Vertex:
             r = table.target - X @ start
             for cap in (1, 2, 3):
                 vertex, exchanges, certified = _l1_vertex(X, table.target, r, cap)
-                model = vf.fit_lar(table, terms, vf.IrlsOptions(max_iterations=cap))
+                monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", cap)
+                model = vf.fit_lar(table, terms)
                 assert (model.iterations, model.converged) == (exchanges, certified)
                 use_vertex = (_abs_sum(table, terms, vertex)
                               <= _abs_sum(table, terms, start))
@@ -383,13 +379,15 @@ class TestL1Vertex:
                 picked.add(use_vertex)
         assert picked == {True, False}
 
-    def test_cap_leaves_the_last_vertex_untested(self):
+    def test_cap_leaves_the_last_vertex_untested(self, monkeypatch):
         # this table certifies after exactly two exchanges; a cap of two
         # returns that optimal vertex without testing it, so the flag is False
         rng = np.random.default_rng(8)
         table = planted_table(LINE, [1.0, 2.0], 500, rng, noise=0.5)
-        capped = vf.fit_lar(table, LINE, vf.IrlsOptions(max_iterations=2))
-        free = vf.fit_lar(table, LINE, vf.IrlsOptions(max_iterations=3))
+        monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 2)
+        capped = vf.fit_lar(table, LINE)
+        monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 3)
+        free = vf.fit_lar(table, LINE)
         assert (capped.iterations, capped.converged) == (2, False)
         assert (free.iterations, free.converged) == (2, True)
         assert capped.coefficients == free.coefficients
@@ -543,14 +541,13 @@ class TestConfidenceBounds:
             vf.confidence_bounds(model, table, 0.95)
 
     def test_deserialized_model_bounds_reconstructible(self):
-        # a loaded document carries no IRLS weights; the bounds must still
-        # be recoverable from the residuals
+        # a document holds no weights; the bounds must still be recoverable
+        # from the residuals
         rng = np.random.default_rng(41)
         table = planted_table(LINE, [1.0, -2.0], 60, rng, noise=0.15)
         for fit in (vf.fit_ols, vf.fit_lar, vf.fit_bisquare):
             model = fit(table, LINE)
             loaded = vf.model_from_document(vf.model_to_document(model))
-            assert loaded.weights is None
             recomputed = vf.confidence_bounds(loaded, table, 0.95)
             for (lo1, hi1), (lo2, hi2) in zip(model.bounds, recomputed):
                 assert lo1 == pytest.approx(lo2, rel=1e-6, abs=1e-9)
@@ -572,16 +569,63 @@ class TestConfidenceBounds:
         assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
         assert len(calls) == solves
 
-    def test_reloaded_lar_bounds_equal_stored_bounds(self):
-        # the reload floors LAR weights at lar_floor times the sigma of the
+    def test_reloaded_lar_bounds_equal_stored_bounds(self, monkeypatch):
+        # the reload floors LAR weights at LAR_FLOOR times the sigma of the
         # OLS start, as the fit did, not at the final sigma
         rng = np.random.default_rng(1)
         terms = vf.DEFAULT_TERM_SETS["volatility"]
         table = planted_table(terms, rng.normal(0, 1, len(terms)), 30, rng)
         table = make_table(table.x, table.y, table.target + 0.1 * rng.standard_t(2, 30))
-        model = vf.fit_lar(table, terms, vf.IrlsOptions(max_iterations=500))
+        monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 500)
+        model = vf.fit_lar(table, terms)
         loaded = vf.model_from_document(vf.model_to_document(model))
         assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    @pytest.mark.parametrize("name", sorted(vf.DEFAULT_TERM_SETS))
+    def test_reloaded_bounds_are_the_stored_bounds_exactly(self, method, name):
+        # the document is the whole model: bounds rebuilt from it and the
+        # table are the fit's own, bit for bit
+        terms = vf.DEFAULT_TERM_SETS[name]
+        for seed in range(4):
+            table = _heavy_tailed_table(terms, [seed, 17], 250)
+            model = getattr(vf, f"fit_{method}")(table, terms)
+            loaded = vf.model_from_document(vf.model_to_document(model))
+            assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_level_outside_the_unit_interval_rejected(self, method, level):
+        rng = np.random.default_rng(43)
+        table = planted_table(LINE, [1.0, -2.0], 40, rng, noise=0.1)
+        fit = getattr(vf, f"fit_{method}")
+        with pytest.raises(ValueError, match="confidence level"):
+            fit(table, LINE, confidence_level=level)
+        with pytest.raises(ValueError, match="confidence level"):
+            vf.confidence_bounds(fit(table, LINE), table, level)
+
+
+def test_fits_share_one_signature():
+    # run_pipeline dispatches to fit_<method> with the same arguments
+    signatures = {inspect.signature(getattr(vf, f"fit_{m}")) for m in vf.FIT_METHODS}
+    assert len(signatures) == 1
+
+
+def test_lar_and_bisquare_caps_are_separate(monkeypatch):
+    rng = np.random.default_rng(44)
+    table = planted_table(LINE, [1.0, 2.0], 500, rng, noise=0.5)
+    target = table.target.copy()
+    target[::7] *= 30.0
+    table = make_table(table.x, table.y, target)
+    lar, bisquare = vf.fit_lar(table, LINE), vf.fit_bisquare(table, LINE)
+    assert lar.iterations > 1 and bisquare.iterations > 1
+    monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 1)
+    assert vf.fit_bisquare(table, LINE) == bisquare
+    assert vf.fit_lar(table, LINE).iterations == 1
+    monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 50)
+    monkeypatch.setattr(surface, "BISQUARE_MAX_SOLVES", 1)
+    assert vf.fit_lar(table, LINE) == lar
+    assert vf.fit_bisquare(table, LINE).iterations == 1
 
 
 def _scipy_qr_solve(X, z):
