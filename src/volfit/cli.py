@@ -77,24 +77,19 @@ def decomposition_csv(dec: DecomposedSeries) -> str:
     return _csv_text("index,original,trend,seasonal,remainder", columns)
 
 
+# PipelineConfig fields the fitting flags override; each flag's dest is its field
+_OVERRIDES = ("fit_method", "n_train", "lag", "outlier_threshold")
+
+
 def _load_inputs(args) -> tuple[str, PipelineConfig]:
     raw_prices = Path(args.input).read_text(encoding="utf-8")
     if args.config is not None:
         config = load_config(Path(args.config).read_text(encoding="utf-8"))
     else:
         config = PipelineConfig()
-    overrides = {}
-    if getattr(args, "method", None) is not None:
-        overrides["fit_method"] = args.method
-    if getattr(args, "n_train", None) is not None:
-        overrides["n_train"] = args.n_train
-    if getattr(args, "threshold", None) is not None:
-        overrides["outlier_threshold"] = args.threshold
-    if getattr(args, "lag", None) is not None:
-        overrides["feature_spec"] = replace(config.feature_spec, lag=args.lag)
-    if overrides:
-        config = replace(config, **overrides)
-    return raw_prices, config
+    flags = vars(args)
+    overrides = {name: flags[name] for name in _OVERRIDES if flags.get(name) is not None}
+    return raw_prices, replace(config, **overrides)
 
 
 def _out_dir(args) -> Path:
@@ -137,7 +132,7 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
     results = {}
     for name in sf.SERIES_NAMES:
         terms = config.term_sets[name]
-        table = sf.build_feature_table(dec.component(name), config.feature_spec)
+        table = sf.build_feature_table(dec.component(name), config.lag)
         train, test = ev.split_train_test(table, config.n_train)
         model = fit(train, terms, confidence_level=config.confidence_level)
         try:
@@ -222,11 +217,13 @@ def _add_pipeline_options(parser: argparse.ArgumentParser, fitting: bool) -> Non
                         help="output directory (default: $VOLFIT_OUT_DIR or .)")
     if fitting:
         parser.add_argument("--method", choices=sorted(sf.FIT_METHODS),
+                            dest="fit_method",
                             help="override the configured fit method")
         parser.add_argument("--n-train", type=int, dest="n_train",
                             help="override the training row count")
         parser.add_argument("--lag", type=int, help="override the feature lag")
-        parser.add_argument("--threshold", type=float,
+        parser.add_argument("--threshold", type=float, dest="outlier_threshold",
+                            metavar="THRESHOLD",
                             help="override the outlier threshold")
 
 

@@ -218,7 +218,7 @@ def parse_coefficient_table(text: str):
     exact float values that were emitted.  Raises FormatError on a cell
     that is not "value (lower, upper)" of three finite numbers, on an
     exponent that is not a non-negative integer, on a row longer than the
-    header and on a term given twice.
+    header, on a term given twice and on a value outside its own bounds.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0][:2] != ["m", "series"]:
@@ -243,7 +243,10 @@ def parse_coefficient_table(text: str):
             terms = out.setdefault(series, {})
             if (m, n) in terms:
                 raise FormatError(f"term ({m}, {n}) of {series} is given twice")
-            terms[(m, n)] = tuple(_table_number(match[g]) for g in ("coef", "lo", "hi"))
+            coef, lo, hi = (_table_number(match[g]) for g in ("coef", "lo", "hi"))
+            if not lo <= coef <= hi:
+                raise FormatError(f"coefficient {coef} outside its bounds ({lo}, {hi})")
+            terms[(m, n)] = (coef, lo, hi)
     return out
 
 

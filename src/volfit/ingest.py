@@ -16,7 +16,6 @@ from .surface import (
     DEFAULT_TERM_SETS,
     FIT_METHODS,
     SERIES_NAMES,
-    FeatureSpec,
     TermSet,
 )
 
@@ -76,7 +75,7 @@ class PipelineConfig:
     kz_trend: tuple[int, int] = (365, 3)
     kz_seasonal: tuple[int, int] = (15, 5)
     n_train: int = 2000
-    feature_spec: FeatureSpec = FeatureSpec()
+    lag: int = 1
     term_sets: Mapping[str, TermSet] = field(
         default_factory=lambda: dict(DEFAULT_TERM_SETS)
     )
@@ -92,6 +91,8 @@ class PipelineConfig:
                 raise ConfigError(f"iterations must be >= 1, got {iters}")
         if self.n_train <= 0:
             raise ConfigError(f"n_train must be positive, got {self.n_train}")
+        if self.lag < 1:
+            raise ConfigError(f"lag must be >= 1, got {self.lag}")
         if self.fit_method not in FIT_METHODS:
             raise ConfigError(f"fit_method must be one of {FIT_METHODS}")
         if not 0.0 < self.confidence_level < 1.0:
@@ -122,9 +123,7 @@ CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STRING_KEYS | set(_TERM_KEYS)
 def load_config(raw_text: str) -> PipelineConfig:
     """Parse a flat ``key = value`` document into a PipelineConfig.
 
-    Unset keys fall back to the documented defaults: KZ windows (365, 3)
-    and (15, 5), n_train 2000, fit_method lar, outlier_threshold 3.0,
-    confidence_level 0.95, lag 1.
+    Unset keys keep the defaults of ``PipelineConfig()``.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(raw_text.splitlines(), start=1):
@@ -157,7 +156,8 @@ def load_config(raw_text: str) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
 
-    term_sets = dict(DEFAULT_TERM_SETS)
+    default = PipelineConfig()
+    term_sets = dict(default.term_sets)
     for key, series in _TERM_KEYS.items():
         if key in raw:
             try:
@@ -165,23 +165,18 @@ def load_config(raw_text: str) -> PipelineConfig:
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
 
-    lag = take_int("lag", 1)
-    if lag < 1:
-        raise ConfigError(f"lag must be >= 1, got {lag}")
-
     return PipelineConfig(
-        price_column=raw.get("price_column") or None,
-        kz_trend=(take_int("kz_trend_window", 365), take_int("kz_trend_iters", 3)),
-        kz_seasonal=(
-            take_int("kz_seasonal_window", 15),
-            take_int("kz_seasonal_iters", 5),
-        ),
-        n_train=take_int("n_train", 2000),
-        feature_spec=FeatureSpec(lag=lag),
+        price_column=raw.get("price_column") or default.price_column,
+        kz_trend=(take_int("kz_trend_window", default.kz_trend[0]),
+                  take_int("kz_trend_iters", default.kz_trend[1])),
+        kz_seasonal=(take_int("kz_seasonal_window", default.kz_seasonal[0]),
+                     take_int("kz_seasonal_iters", default.kz_seasonal[1])),
+        n_train=take_int("n_train", default.n_train),
+        lag=take_int("lag", default.lag),
         term_sets=term_sets,
-        fit_method=raw.get("fit_method", "lar"),
-        outlier_threshold=take_float("outlier_threshold", 3.0),
-        confidence_level=take_float("confidence_level", 0.95),
+        fit_method=raw.get("fit_method", default.fit_method),
+        outlier_threshold=take_float("outlier_threshold", default.outlier_threshold),
+        confidence_level=take_float("confidence_level", default.confidence_level),
     )
 
 

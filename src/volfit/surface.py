@@ -33,10 +33,6 @@ from .errors import (
     RankError,
 )
 
-TIME_INDEX_SCALED = "time_index_scaled"
-LAGGED_VALUE = "lagged_value"
-FEATURE_SOURCES = (TIME_INDEX_SCALED, LAGGED_VALUE)
-
 FIT_METHODS = ("ols", "lar", "bisquare")
 SERIES_NAMES = ("volatility", "trend", "seasonal", "remainder")
 
@@ -85,16 +81,21 @@ class TermSet:
 
     @classmethod
     def parse(cls, text: str) -> "TermSet":
-        """Parse a comma-separated list of m:n pairs, e.g. ``"0:0,0:1,1:0"``."""
+        """Parse a comma-separated list of m:n pairs, e.g. ``"0:0,0:1,1:0"``.
+
+        Exponents are plain ASCII digits, with spaces allowed around them.
+        """
         pairs = []
         for chunk in text.split(","):
             chunk = chunk.strip()
             if not chunk:
                 continue
             m_part, sep, n_part = chunk.partition(":")
-            if not sep:
-                raise ValueError(f"term {chunk!r} is not of the form m:n")
-            pairs.append((int(m_part), int(n_part)))
+            parts = (m_part.strip(), n_part.strip())
+            if not (sep and all(e.isascii() and e.isdigit() for e in parts)):
+                raise ValueError(f"term {chunk!r} is not of the form m:n "
+                                 "with non-negative integer exponents")
+            pairs.append(tuple(map(int, parts)))
         return cls(tuple(pairs))
 
 
@@ -111,30 +112,6 @@ DEFAULT_TERM_SETS: dict[str, TermSet] = {
         ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0))
     ),
 }
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """How to turn one series into regression features.
-
-    Exactly one of x/y is the scaled time index t/T in (0, 1] and the other
-    is the series value ``lag`` steps earlier; the target is always the
-    current value.
-    """
-
-    x_source: str = TIME_INDEX_SCALED
-    y_source: str = LAGGED_VALUE
-    lag: int = 1
-
-    def __post_init__(self):
-        if self.x_source not in FEATURE_SOURCES:
-            raise ValueError(f"unknown x_source {self.x_source!r}")
-        if self.y_source not in FEATURE_SOURCES:
-            raise ValueError(f"unknown y_source {self.y_source!r}")
-        if self.x_source == self.y_source:
-            raise ValueError("x_source and y_source must differ")
-        if self.lag < 1:
-            raise ValueError("lag must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -205,30 +182,27 @@ class PolySurfaceModel:
                 raise ValueError(f"coefficient {c} outside its bounds ({lo}, {hi})")
 
 
-def build_feature_table(series, spec: FeatureSpec) -> FeatureTable:
+def build_feature_table(series, lag: int = 1) -> FeatureTable:
     """Extract (x, y, target) rows from a series with NaN-coded missing values.
 
-    With the default spec, row t (1-based) is
-    ``x = t / T, y = series[t - lag], target = series[t]``; rows touching a
-    missing value are dropped and the surviving targets' indices are kept as
-    provenance.
+    Row t (1-based) is ``x = t / T, y = series[t - lag], target = series[t]``:
+    the scaled time index in (0, 1] and the value ``lag`` steps earlier.
+    Rows touching a missing value are dropped and the surviving targets'
+    indices are kept as provenance.  Raises ValueError for lag < 1.
     """
+    if lag < 1:
+        raise ValueError(f"lag must be >= 1, got {lag}")
     values = np.asarray(series, dtype=float)
     total = values.size
-    if total <= spec.lag:
-        raise InsufficientData(
-            f"series of length {total} cannot support lag {spec.lag}"
-        )
-    t = np.arange(spec.lag + 1, total + 1)
+    if total <= lag:
+        raise InsufficientData(f"series of length {total} cannot support lag {lag}")
+    t = np.arange(lag + 1, total + 1)
     target = values[t - 1]
-    lagged = values[t - 1 - spec.lag]
-    scaled = t / total
-    x = scaled if spec.x_source == TIME_INDEX_SCALED else lagged
-    y = scaled if spec.y_source == TIME_INDEX_SCALED else lagged
+    lagged = values[t - 1 - lag]
     keep = np.isfinite(target) & np.isfinite(lagged)
     if not keep.any():
         raise InsufficientData("no complete rows after dropping missing values")
-    return FeatureTable(x[keep], y[keep], target[keep], t[keep])
+    return FeatureTable((t / total)[keep], lagged[keep], target[keep], t[keep])
 
 
 def design_matrix(table: FeatureTable, terms: TermSet) -> np.ndarray:
@@ -291,22 +265,31 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _pivoted_qr(X: np.ndarray, overwrite: bool = False):
-    """Column-pivoted QR of X: (qr, tau, pivot, numerical rank).
+def _pivoted_qr(X: np.ndarray, sw: np.ndarray | None = None):
+    """Column-pivoted QR of X, or of ``sw[:, None] * X``: (r, qr, tau, pivot, rank).
 
-    ``qr`` is a Fortran-ordered copy of X, or with ``overwrite`` the
-    Fortran-ordered float X itself, overwritten by LAPACK's geqp3: R in its
-    upper triangle, the Householder reflectors below it.  These are the
-    calls ``scipy.linalg.qr(X, mode="economic", pivoting=True)`` makes, so
-    R and the pivot have its bits.
+    The design is built once, owned and Fortran-ordered, as a copy of X or
+    as ``np.multiply(X, sw[:, None], order="F")`` (the bits of
+    ``X * sw[:, None]``), and LAPACK's geqp3 overwrites it: ``qr`` holds R
+    in its upper triangle and the Householder reflectors below it.  These
+    are the calls ``scipy.linalg.qr(X, mode="economic", pivoting=True)``
+    makes, so R and the pivot have its bits.  ``r`` is a C-ordered copy of
+    qr's first p rows, whose upper triangle is R; the caller's X is never
+    written.  Raises ValueError when the design holds a NaN or an infinity.
     """
-    _require_finite(X)
-    a = X if overwrite else np.array(X, dtype=float, order="F")
+    if sw is None:
+        a = np.array(X, dtype=float, order="F")
+    else:
+        a = np.multiply(X, sw[:, None], order="F")
+    _require_finite(a)
     qr, pivot, tau = _with_workspace(_lapack()[0], a, overwrite_a=1)
     pivot -= 1
+    # an explicit copy: orgqr overwrites qr, and for p = 1 the slice is
+    # already contiguous, so np.ascontiguousarray would return a view
+    r = np.array(qr[:X.shape[1]], order="C")
     diag = np.abs(np.diagonal(qr))
     tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    return qr, tau, pivot, int(np.count_nonzero(diag > tol))
+    return r, qr, tau, pivot, int(np.count_nonzero(diag > tol))
 
 
 def _r_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,17 +302,19 @@ def _r_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet, overwrite: bool = False):
-    """Least-squares solve via column-pivoted QR.
+def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet,
+              w: np.ndarray | None = None):
+    """Least-squares solve via column-pivoted QR, weighted by ``w`` if given.
 
+    A weighted solve is the ordinary solve of sqrt(w) X against sqrt(w) z.
     Returns the coefficient vector and the (R, pivot) pair of the
     factorization; only R's upper triangle is meaningful.  Raises RankError
     naming the dependent columns when the matrix does not have full column
-    rank, and ValueError when X or z holds a NaN or an infinity.  X is
-    copied unless ``overwrite`` hands over a Fortran-ordered float X.
+    rank, and ValueError when X or z holds a NaN or an infinity.
     """
     p = X.shape[1]
-    qr, tau, piv, rank = _pivoted_qr(X, overwrite)
+    sw = None if w is None else np.sqrt(w)
+    r, qr, tau, piv, rank = _pivoted_qr(X, sw)
     if rank < p:
         dependent = tuple(terms.labels()[j] for j in piv[rank:])
         raise RankError(
@@ -337,22 +322,12 @@ def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet, overwrite: bool = Fa
             + ", ".join(dependent),
             columns=dependent,
         )
-    # an explicit copy: orgqr overwrites qr, and for p = 1 the slice is
-    # already contiguous, so np.ascontiguousarray would return a view
-    r = np.array(qr[:p], order="C")
     q, = _with_workspace(_lapack()[1], qr, tau, overwrite_a=1)
-    qtz = q.T @ z
+    qtz = q.T @ (z if sw is None else z * sw)
     _require_finite(qtz)
     beta = np.empty(p)
     beta[piv] = _r_solve(r, qtz)
     return beta, (r, piv)
-
-
-def _wls_solve(X, z, w, terms):
-    """Solve with sqrt(w) X, built once in Fortran order and overwritten."""
-    sw = np.sqrt(w)
-    a = np.multiply(X, sw[:, None], order="F")
-    return _qr_solve(a, z * sw, terms, overwrite=True)
 
 
 def _median(a: np.ndarray):
@@ -382,21 +357,26 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
     """Student-t intervals c +- t_{1-(1-level)/2, n-p} * se(c).
 
     se comes from sigma^2 (X'WX)^-1 with W = diag(weights), or the identity
-    if the weights leave X rank deficient.
+    if the weights leave X rank deficient.  An interpolating fit (n == p)
+    has no residual degrees of freedom and gets point bounds.  Every fit and
+    ``confidence_bounds`` pass through here, so all of them raise
+    ValueError unless 0 < level < 1.
     """
     from scipy.special import stdtrit
 
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     n, p = X.shape
-    for w in (weights, np.ones(n)):
-        a = np.multiply(X, np.sqrt(w)[:, None], order="F")
-        qr, _, piv, rank = _pivoted_qr(a, overwrite=True)
+    if n == p:
+        return tuple((c, c) for c in coefficients)
+    # the unweighted fallback has the bits of unit weights: X * 1.0 is X
+    for sw in (np.sqrt(weights), None):
+        r, _, _, piv, rank = _pivoted_qr(X, sw)
         if rank == p:
             break
     else:
         raise RankError("design matrix is rank deficient")
-    rinv = _r_solve(np.array(qr[:p], order="C"), np.eye(p))
+    rinv = _r_solve(r, np.eye(p))
     variance = np.empty(p)
     variance[piv] = np.diag(rinv @ rinv.T)
     se = sigma * np.sqrt(np.maximum(variance, 0.0))
@@ -416,19 +396,14 @@ def _finish_model(method: str, table: FeatureTable, terms: TermSet, X: np.ndarra
     """
     n, p = X.shape
     residuals = table.target - X @ beta
-    sse = float(residuals @ residuals)
     coefficients = tuple(float(b) for b in beta)
-    if n > p:
-        sigma = math.sqrt(sse / (n - p))
-        weights = _final_weights(method, residuals, p, floor)
-        bounds = _t_bounds(X, weights, sigma, coefficients, confidence_level)
-    else:
-        # interpolating fit: zero residual degrees of freedom, point bounds
-        sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
+    # an interpolating fit (n == p) has zero residual degrees of freedom
+    sigma = math.sqrt(float(residuals @ residuals) / (n - p)) if n > p else 0.0
+    weights = _final_weights(method, residuals, p, floor)
     return PolySurfaceModel(
         term_set=terms,
         coefficients=coefficients,
-        bounds=bounds,
+        bounds=_t_bounds(X, weights, sigma, coefficients, confidence_level),
         method=method,
         n_points=n,
         sigma=sigma,
@@ -650,7 +625,7 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
         if np.count_nonzero(w) < p:
             break
         try:
-            candidate, _ = _wls_solve(X, y, w, terms)
+            candidate, _ = _qr_solve(X, y, terms, w)
         except RankError:
             break
         solves += 1

@@ -179,6 +179,42 @@ class TestFitCommand:
         # 80 prices -> 79 returns -> 78 feature rows at lag 1
         assert report.n_train + report.n_test + len(report.excluded) == 78
 
+    def test_lag_reaches_the_features(self, workspace):
+        # the flag, the config key and the library field give one fit
+        prices, config = workspace / "prices.csv", workspace / "volfit.cfg"
+        (workspace / "lag2.cfg").write_text(SMALL_CONFIG + "lag = 2\n", encoding="utf-8")
+        for out, args in (("flag", ("--config", config, "--lag", 2)),
+                          ("key", ("--config", workspace / "lag2.cfg")),
+                          ("lag1", ("--config", config))):
+            assert run_cli("fit", "--input", prices, *args,
+                           "--out-dir", workspace / out) == 0
+        raw = prices.read_text(encoding="utf-8")
+        _, results = run_pipeline(raw, replace(vf.load_config(SMALL_CONFIG), lag=2))
+        library = {}
+        for name in vf.SERIES_NAMES:
+            model, report = results[name]["model"], results[name]["report"]
+            library[f"model_{name}.json"] = vf.model_to_document(model)
+            library[f"report_{name}.json"] = vf.report_to_document(report)
+        assert len(library) == 8
+        library["coefficients.csv"] = vf.coefficient_table_csv(
+            {name: results[name]["model"] for name in vf.SERIES_NAMES})
+        for name in FIT_ARTIFACTS:
+            flag, key, lag1 = (
+                (workspace / out / name).read_text(encoding="utf-8")
+                for out in ("flag", "key", "lag1"))
+            assert flag == key == library[name]
+            assert flag != lag1
+        # 79 returns -> 77 feature rows at lag 2
+        report = vf.report_from_document(library["report_volatility.json"])
+        assert report.n_train + report.n_test + len(report.excluded) == 77
+
+    def test_lag_below_one_exits_2(self, workspace, capsys):
+        rc = run_cli("fit", "--input", workspace / "prices.csv",
+                     "--lag", 0, "--out-dir", workspace / "out")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigError: lag must be >= 1")
+        assert not (workspace / "out").exists()
+
     def test_env_var_default_out_dir(self, workspace, monkeypatch):
         target = workspace / "env_out"
         monkeypatch.setenv("VOLFIT_OUT_DIR", str(target))

@@ -335,6 +335,20 @@ class TestCoefficientTable:
         with pytest.raises(FormatError):
             vf.parse_coefficient_table(f'm,series,n=0\n0,V,"{cell}"\n')
 
+    @pytest.mark.parametrize("cell", [
+        "1.0 (2.0, 3.0)", "4.0 (2.0, 3.0)", "2.5 (3.0, 2.0)",
+    ])
+    def test_parse_rejects_a_value_outside_its_bounds(self, cell):
+        # model_from_document refuses these too, through PolySurfaceModel
+        with pytest.raises(FormatError, match="outside its bounds"):
+            vf.parse_coefficient_table(f'm,series,n=0\n0,V,"{cell}"\n')
+
+    @pytest.mark.parametrize("cell", ["2.0 (2.0, 3.0)", "3.0 (2.0, 3.0)", "1.0 (1.0, 1.0)"])
+    def test_parse_accepts_a_value_on_its_bounds(self, cell):
+        text = f'm,series,n=0\n0,V,"{cell}"\n'
+        assert vf.parse_coefficient_table(text)["volatility"][(0, 0)][0] == float(
+            cell.split()[0])
+
     @pytest.mark.parametrize("row", [
         '0,V,"1.0 (0.5, 1.5)","2.0 (1.5, 2.5)"',
         '0,V,"1.0 (0.5, 1.5)"\n0,V,"1.0 (0.5, 1.5)"',

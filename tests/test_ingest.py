@@ -244,7 +244,7 @@ class TestLoadConfig:
         assert config.fit_method == "lar"
         assert config.confidence_level == 0.95
         assert config.outlier_threshold == 3.0
-        assert config.feature_spec.lag == 1
+        assert config.lag == 1
         assert config.term_sets == vf.DEFAULT_TERM_SETS
 
     def test_even_window_rejected(self):
@@ -291,6 +291,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             vf.load_config("lag = 0\n")
 
+    def test_lag_checked_by_the_config_itself(self):
+        with pytest.raises(ConfigError, match="lag"):
+            vf.PipelineConfig(lag=0)
+        assert vf.load_config("lag = 4\n") == vf.PipelineConfig(lag=4)
+
+    @pytest.mark.parametrize("terms", ["1_0:0", "+1:0", "\u0663:0", "0:-1", "0 :1.0"])
+    def test_term_exponents_must_be_plain_digits(self, terms):
+        with pytest.raises(ConfigError, match="terms_volatility"):
+            vf.load_config(f"terms_volatility = 0:0, {terms}\n")
+
     def test_term_list_parsing(self):
         config = vf.load_config("terms_volatility = 0:0, 1:0, 2:1\nn_train = 50\n")
         assert config.term_sets["volatility"].terms == ((0, 0), (1, 0), (2, 1))
@@ -323,7 +333,7 @@ class TestLoadConfig:
         assert config.fit_method == "bisquare"
         assert config.outlier_threshold == 2.5
         assert config.confidence_level == 0.9
-        assert config.feature_spec.lag == 3
+        assert config.lag == 3
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "0", "-0.0", "-inf"])
     def test_outlier_threshold_must_exceed_zero(self, value):
@@ -374,7 +384,7 @@ def config_text(config):
         "kz_trend_window": config.kz_trend[0], "kz_trend_iters": config.kz_trend[1],
         "kz_seasonal_window": config.kz_seasonal[0],
         "kz_seasonal_iters": config.kz_seasonal[1], "n_train": config.n_train,
-        "fit_method": config.fit_method, "lag": config.feature_spec.lag,
+        "fit_method": config.fit_method, "lag": config.lag,
         "outlier_threshold": repr(config.outlier_threshold),
         "confidence_level": repr(config.confidence_level),
         "price_column": config.price_column or "",
@@ -400,7 +410,7 @@ class TestConfigFuzz:
         assert config.fit_method in vf.FIT_METHODS
         assert config.outlier_threshold > 0
         assert 0 < config.confidence_level < 1
-        assert config.feature_spec.lag >= 1
+        assert config.lag >= 1
         assert all(config.n_train >= len(t) for t in config.term_sets.values())
         document = config_text(config)
         assert vf.load_config(document) == config

@@ -21,7 +21,7 @@ from volfit.errors import (
     InsufficientData,
     RankError,
 )
-from volfit.surface import _l1_vertex, _pivoted_qr, _qr_solve, _t_bounds, _wls_solve
+from volfit.surface import _l1_vertex, _pivoted_qr, _qr_solve, _t_bounds
 
 from helpers import (
     assert_rejected_or_read_back,
@@ -43,6 +43,16 @@ class TestTermSet:
         with pytest.raises(ValueError):
             vf.TermSet.parse("0-0")
 
+    @pytest.mark.parametrize("text", ["1_0:0", "+1:0", "\u0663:0", "0:-1", "0:1.0",
+                                      "0:0x1", "1 0:0", ":1", "1:"])
+    def test_parse_takes_plain_ascii_digits_only(self, text):
+        # int() would read 1_0 as 10, +1 as 1 and an Arabic-Indic three as 3
+        with pytest.raises(ValueError):
+            vf.TermSet.parse(text)
+
+    def test_parse_allows_spaces_around_exponents(self):
+        assert vf.TermSet.parse(" 0 : 1 ,\t2:0 ").terms == ((0, 1), (2, 0))
+
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             vf.TermSet(((1, 1), (1, 1)))
@@ -63,23 +73,13 @@ class TestTermSet:
         assert len(vf.DEFAULT_TERM_SETS["remainder"]) == 9
 
 
-class TestFeatureSpec:
-    def test_sources_must_differ(self):
-        with pytest.raises(ValueError):
-            vf.FeatureSpec(x_source="lagged_value", y_source="lagged_value")
-
+class TestBuildFeatureTable:
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
-            vf.FeatureSpec(lag=0)
+            vf.build_feature_table([1.0, 2.0, 3.0, 4.0], 0)
 
-    def test_unknown_source(self):
-        with pytest.raises(ValueError):
-            vf.FeatureSpec(x_source="volume")
-
-
-class TestBuildFeatureTable:
     def test_default_mapping(self):
-        table = vf.build_feature_table([1.0, 2.0, 3.0, 4.0], vf.FeatureSpec())
+        table = vf.build_feature_table([1.0, 2.0, 3.0, 4.0])
         assert table.x.tolist() == [0.5, 0.75, 1.0]
         assert table.y.tolist() == [1.0, 2.0, 3.0]
         assert table.target.tolist() == [2.0, 3.0, 4.0]
@@ -87,10 +87,10 @@ class TestBuildFeatureTable:
 
     def test_all_missing(self):
         with pytest.raises(InsufficientData):
-            vf.build_feature_table([np.nan] * 5, vf.FeatureSpec())
+            vf.build_feature_table([np.nan] * 5)
 
     def test_lag_two_on_length_three(self):
-        table = vf.build_feature_table([1.0, 2.0, 3.0], vf.FeatureSpec(lag=2))
+        table = vf.build_feature_table([1.0, 2.0, 3.0], 2)
         assert len(table) == 1
         assert table.x.tolist() == [1.0]
         assert table.y.tolist() == [1.0]
@@ -98,23 +98,13 @@ class TestBuildFeatureTable:
 
     def test_series_not_longer_than_lag(self):
         with pytest.raises(InsufficientData):
-            vf.build_feature_table([1.0, 2.0], vf.FeatureSpec(lag=2))
+            vf.build_feature_table([1.0, 2.0], 2)
 
     def test_rows_with_missing_sources_dropped(self):
-        table = vf.build_feature_table(
-            [1.0, np.nan, 3.0, 4.0], vf.FeatureSpec()
-        )
+        table = vf.build_feature_table([1.0, np.nan, 3.0, 4.0])
         # targets at t=2 and t=3 touch the missing entry; only t=4 survives
         assert table.provenance.tolist() == [4]
         assert table.y.tolist() == [3.0]
-
-    def test_swapped_sources(self):
-        spec = vf.FeatureSpec(
-            x_source="lagged_value", y_source="time_index_scaled"
-        )
-        table = vf.build_feature_table([1.0, 2.0, 3.0, 4.0], spec)
-        assert table.x.tolist() == [1.0, 2.0, 3.0]
-        assert table.y.tolist() == [0.5, 0.75, 1.0]
 
 
 class TestDesignMatrix:
@@ -605,6 +595,20 @@ class TestConfidenceBounds:
             vf.confidence_bounds(fit(table, LINE), table, level)
 
 
+@pytest.mark.parametrize("method", vf.FIT_METHODS)
+def test_interpolating_fit_checks_the_level(method):
+    # n == p: point bounds at a valid level, ValueError at an invalid one
+    table = make_table([0.25, 1.0], [1.0, 2.0], [5.0, 7.0])
+    terms = vf.TermSet(((0, 0), (0, 1)))
+    fit = getattr(vf, f"fit_{method}")
+    model = fit(table, terms)
+    assert model.bounds == tuple((c, c) for c in model.coefficients)
+    assert model.sigma == 0.0
+    for level in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="confidence level"):
+            fit(table, terms, confidence_level=level)
+
+
 def test_fits_share_one_signature():
     # run_pipeline dispatches to fit_<method> with the same arguments
     signatures = {inspect.signature(getattr(vf, f"fit_{m}")) for m in vf.FIT_METHODS}
@@ -689,8 +693,20 @@ class TestQrKernel:
             assert beta.tobytes() == expect.tobytes()
             assert np.triu(r).tobytes() == r_expect.tobytes()
             assert np.array_equal(piv, piv_expect)
-            assert _pivoted_qr(X)[3] == rank_expect
+            assert _pivoted_qr(X)[4] == rank_expect
             assert np.array_equal(X, before)
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_unit_weights_give_the_unweighted_bits(self, n, p):
+        # the bounds' unweighted fallback relies on this
+        rng = np.random.default_rng(5000 * n + p)
+        X, terms = _random_design(rng, n, p)
+        z = X @ rng.standard_normal(p) + rng.standard_normal(n)
+        beta, (r, piv) = _qr_solve(X, z, terms)
+        beta_w, (r_w, piv_w) = _qr_solve(X, z, terms, np.ones(n))
+        assert beta.tobytes() == beta_w.tobytes()
+        assert r.tobytes() == r_w.tobytes()
+        assert np.array_equal(piv, piv_w)
 
     def test_blocked_factorization_matches_scipy_bit_for_bit(self):
         # past ~128 columns LAPACK blocks by the queried workspace size, so
@@ -710,7 +726,7 @@ class TestQrKernel:
         w = 1.0 / np.maximum(np.abs(rng.standard_normal(n)), 1e-3)
         sw = np.sqrt(w)
         expect = _scipy_qr_solve(X * sw[:, None], z * sw)[0]
-        beta, _ = _wls_solve(X, z, w, terms)
+        beta, _ = _qr_solve(X, z, terms, w)
         assert beta.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("n,p", [(2, 1), (40, 1), (60, 5), (300, 11)])
@@ -826,7 +842,7 @@ class TestSolveSpellings:
         sw = np.sqrt(w)
         expect, r_expect, piv_expect, rank = _scipy_qr_solve(X * sw[:, None], z * sw)
         assert rank == p
-        beta, (r, piv) = _wls_solve(X, z, w, terms)
+        beta, (r, piv) = _qr_solve(X, z, terms, w)
         assert beta.tobytes() == expect.tobytes()
         assert np.triu(r).tobytes() == r_expect.tobytes()
         assert np.array_equal(piv, piv_expect)
@@ -842,7 +858,7 @@ class TestSolveSpellings:
         z = rng.standard_normal(40)
         w = rng.uniform(0.0, 2.0, 40)
         before = X.tobytes(), z.tobytes(), w.tobytes()
-        _wls_solve(X, z, w, terms)
+        _qr_solve(X, z, terms, w)
         _t_bounds(X, w, 0.5, (0.0,) * p, 0.95)
         assert (X.tobytes(), z.tobytes(), w.tobytes()) == before
 
