@@ -202,8 +202,10 @@ def _table_exponent(text: str) -> int:
 
 
 def _table_number(text: str) -> float:
-    """One of a coefficient cell's numbers: a finite float."""
+    """One of a coefficient cell's numbers: a finite float in ASCII, no ``_``."""
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
         value = float(text)
     except ValueError:
         raise FormatError(

@@ -123,7 +123,8 @@ CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STRING_KEYS | set(_TERM_KEYS)
 def load_config(raw_text: str) -> PipelineConfig:
     """Parse a flat ``key = value`` document into a PipelineConfig.
 
-    Unset keys keep the defaults of ``PipelineConfig()``.
+    Unset keys keep the defaults of ``PipelineConfig()``.  Number values are
+    plain ASCII, as ``int()`` and ``float()`` read them, without ``_``.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(raw_text.splitlines(), start=1):
@@ -140,21 +141,16 @@ def load_config(raw_text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def take_int(key: str, default: int) -> int:
+    def take(key: str, default, kind=int):
         if key not in raw:
             return default
         try:
-            return int(raw[key])
+            if "_" in raw[key] or not raw[key].isascii():
+                raise ValueError(raw[key])
+            return kind(raw[key])
         except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}") from exc
-
-    def take_float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {raw[key]!r}") from exc
 
     default = PipelineConfig()
     term_sets = dict(default.term_sets)
@@ -167,16 +163,16 @@ def load_config(raw_text: str) -> PipelineConfig:
 
     return PipelineConfig(
         price_column=raw.get("price_column") or default.price_column,
-        kz_trend=(take_int("kz_trend_window", default.kz_trend[0]),
-                  take_int("kz_trend_iters", default.kz_trend[1])),
-        kz_seasonal=(take_int("kz_seasonal_window", default.kz_seasonal[0]),
-                     take_int("kz_seasonal_iters", default.kz_seasonal[1])),
-        n_train=take_int("n_train", default.n_train),
-        lag=take_int("lag", default.lag),
+        kz_trend=(take("kz_trend_window", default.kz_trend[0]),
+                  take("kz_trend_iters", default.kz_trend[1])),
+        kz_seasonal=(take("kz_seasonal_window", default.kz_seasonal[0]),
+                     take("kz_seasonal_iters", default.kz_seasonal[1])),
+        n_train=take("n_train", default.n_train),
+        lag=take("lag", default.lag),
         term_sets=term_sets,
         fit_method=raw.get("fit_method", default.fit_method),
-        outlier_threshold=take_float("outlier_threshold", default.outlier_threshold),
-        confidence_level=take_float("confidence_level", default.confidence_level),
+        outlier_threshold=take("outlier_threshold", default.outlier_threshold, float),
+        confidence_level=take("confidence_level", default.confidence_level, float),
     )
 
 

@@ -268,8 +268,8 @@ def _require_finite(a: np.ndarray) -> None:
 def _pivoted_qr(X: np.ndarray, sw: np.ndarray | None = None):
     """Column-pivoted QR of X, or of ``sw[:, None] * X``: (r, qr, tau, pivot, rank).
 
-    The design is built once, owned and Fortran-ordered, as a copy of X or
-    as ``np.multiply(X, sw[:, None], order="F")`` (the bits of
+    The design is built once, owned and Fortran-ordered, as a copy of X
+    scaled in place by ``sw[:, None]`` if given (the bits of
     ``X * sw[:, None]``), and LAPACK's geqp3 overwrites it: ``qr`` holds R
     in its upper triangle and the Householder reflectors below it.  These
     are the calls ``scipy.linalg.qr(X, mode="economic", pivoting=True)``
@@ -277,10 +277,9 @@ def _pivoted_qr(X: np.ndarray, sw: np.ndarray | None = None):
     qr's first p rows, whose upper triangle is R; the caller's X is never
     written.  Raises ValueError when the design holds a NaN or an infinity.
     """
-    if sw is None:
-        a = np.array(X, dtype=float, order="F")
-    else:
-        a = np.multiply(X, sw[:, None], order="F")
+    a = np.array(X, dtype=float, order="F")
+    if sw is not None:
+        a *= sw[:, None]
     _require_finite(a)
     qr, pivot, tau = _with_workspace(_lapack()[0], a, overwrite_a=1)
     pivot -= 1
@@ -331,13 +330,15 @@ def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet,
 
 
 def _median(a: np.ndarray):
-    """``np.median`` of a 1-d float array, bit for bit, from one partition:
-    the middle one or two values are summed from 0.0, as np.mean sums them."""
+    """``np.median`` of a 1-d float array, bit for bit, from one partition: a NaN
+    tops the upper half, the lower half's max is the lower middle value, and
+    the middle values are summed from 0.0, as np.mean sums them."""
     half, odd = divmod(a.size, 2)
-    part = np.partition(a, [half, -1] if odd else [half - 1, half, -1])
-    if np.isnan(part[-1]):
-        return part[-1]
-    return 0.0 + part[half] if odd else (0.0 + part[half - 1] + part[half]) / 2
+    part = np.partition(a, half)
+    top = part[half:].max()
+    if np.isnan(top):
+        return top
+    return 0.0 + part[half] if odd else (0.0 + part[:half].max() + part[half]) / 2
 
 
 def _mad_sigma(residuals: np.ndarray) -> float:
@@ -461,26 +462,39 @@ def fit_ols(table: FeatureTable, terms: TermSet,
     )
 
 
-def _independent_rows(X: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The first p rows of X in ``order`` that are linearly independent, sorted.
+def _stable_prefix(keys: np.ndarray, size: int) -> np.ndarray:
+    """At least the first ``size`` entries of ``np.argsort(keys, kind="stable")``:
+    the keys up to the size-th smallest, ties included, sorted alone (no NaN)."""
+    if size >= keys.size:
+        return np.argsort(keys, kind="stable")
+    head = np.flatnonzero(keys <= np.partition(keys, size - 1)[size - 1])
+    return head[np.argsort(keys[head], kind="stable")]
+
+
+def _independent_rows(X: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The first p rows of X by stable ascending keys that are independent, sorted.
 
     Gram-Schmidt on the rows with the columns scaled to a max of 1; a row
     whose remainder is within rounding of zero (a duplicate, say) is skipped.
     """
-    p = X.shape[1]
+    n, p = X.shape
     scaled = X / np.max(np.abs(X), axis=0)
-    span = np.empty((0, p))
-    rows = []
-    for i in order:
-        v = scaled[i]
-        w = v - (span @ v) @ span
-        w -= (span @ w) @ span
-        norm = math.sqrt(w @ w)
-        if norm > 64 * p * np.finfo(float).eps * math.sqrt(v @ v):
-            span = np.vstack([span, w / norm])
-            rows.append(i)
-            if len(rows) == p:
-                break
+    span = np.empty((p, p))
+    rows, walked, size = [], 0, 4 * p
+    while len(rows) < p and walked < n:
+        order = _stable_prefix(keys, size)
+        for i in order[walked:]:
+            basis = span[:len(rows)]
+            v = scaled[i]
+            w = v - (basis @ v) @ basis
+            w -= (basis @ w) @ basis
+            norm = math.sqrt(w @ w)
+            if norm > 64 * p * np.finfo(float).eps * math.sqrt(v @ v):
+                np.divide(w, norm, out=span[len(rows)])
+                rows.append(i)
+                if len(rows) == p:
+                    break
+        walked, size = order.size, 4 * size
     return np.sort(np.array(rows))
 
 
@@ -493,9 +507,13 @@ def _line_search(t: np.ndarray, weight: np.ndarray, descent: float) -> np.ndarra
     index) after which the slope is >= 0.  If rounding keeps the slope
     below zero throughout, the exchange stops at the last breakpoint.
     """
-    order = np.argsort(t, kind="stable")
-    stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
-    return order[:stop + 1]
+    size = 64
+    while True:
+        order = _stable_prefix(t, size)
+        running = np.cumsum(weight[order])
+        if running[-1] >= descent or order.size == t.size:
+            return order[:int(np.searchsorted(running, descent)) + 1]
+        size *= 4
 
 
 def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
@@ -523,7 +541,7 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
     n, p = X.shape
     abs_x, abs_y = np.abs(X), np.abs(y)
     rounding = 4 * p * np.finfo(float).eps
-    basis = _independent_rows(X, np.argsort(np.abs(residuals), kind="stable"))
+    basis = _independent_rows(X, np.abs(residuals))
     if basis.size < p:
         return None, 0, False
     side, beta = np.zeros(n), None
@@ -535,8 +553,12 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
         if exchanges == max_exchanges:
             return beta, exchanges, False
         r = y - X @ beta
-        clear = np.abs(r) > rounding * (abs_y + abs_x @ np.abs(beta))
-        s = np.where(clear, np.sign(r), side)
+        bound = abs_x @ np.abs(beta)
+        bound += abs_y
+        bound *= rounding
+        clear = np.abs(r) > bound
+        s = np.sign(r)
+        np.copyto(s, side, where=~clear)
         s[basis] = 0.0
         u, _ = getrs(lu, piv, X.T @ s, trans=1)
         k = int(np.argmax(np.abs(u)))
@@ -548,17 +570,22 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
         e[k] = direction
         d, _ = getrs(lu, piv, e)
         g = X @ d
-        moving = np.abs(g) > rounding * (abs_x @ np.abs(d))
+        bound = abs_x @ np.abs(d)
+        bound *= rounding
+        moving = np.abs(g) > bound
         moving[basis] = False
         # residuals r - t g that reach 0 at some t >= 0
-        rows = np.flatnonzero(moving & (s * g >= 0.0))
+        moving &= s * g >= 0.0
+        rows = np.flatnonzero(moving)
         if rows.size == 0:
             return beta, exchanges, False
         g_rows = g[rows]
         t = np.where(clear[rows], r[rows], 0.0) / g_rows
         # crossing a breakpoint adds 2|g| to the objective's slope, or |g|
         # for a residual that starts at 0
-        weight = (1.0 + np.abs(s[rows])) * np.abs(g_rows)
+        weight = np.abs(s[rows])
+        weight += 1.0
+        weight *= np.abs(g_rows)
         crossed = rows[_line_search(t, weight, abs(u[k]) - 1.0)]
         side = s
         side[crossed] = -np.sign(g[crossed])

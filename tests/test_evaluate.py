@@ -336,6 +336,23 @@ class TestCoefficientTable:
             vf.parse_coefficient_table(f'm,series,n=0\n0,V,"{cell}"\n')
 
     @pytest.mark.parametrize("cell", [
+        "1_0 (1_0, 2_0)", "\u0663 (\u0662, \u0664)", "1.0 (0.5, 1_5.0)",
+        "\uff11.0 (0.5, 1.5)", "1.0 (0.5, 1.5\u0660)", "1.0 (0_.5, 1.5)",
+    ])
+    def test_parse_rejects_numbers_that_are_not_plain_ascii(self, cell):
+        with pytest.raises(FormatError, match="cannot parse number"):
+            vf.parse_coefficient_table(f'm,series,n=0\n0,V,"{cell}"\n')
+
+    @pytest.mark.parametrize("cell,expected", [
+        ("+1.0 (-1e0, 2E+0)", (1.0, -1.0, 2.0)),
+        ("-2.5e-3 (-.5, 1.)", (-2.5e-3, -0.5, 1.0)),
+        ("0 (-0, 7)", (0.0, -0.0, 7.0)),
+    ])
+    def test_parse_keeps_signs_and_exponents(self, cell, expected):
+        parsed = vf.parse_coefficient_table(f'm,series,n=0\n0,V,"{cell}"\n')
+        assert parsed["volatility"][(0, 0)] == expected
+
+    @pytest.mark.parametrize("cell", [
         "1.0 (2.0, 3.0)", "4.0 (2.0, 3.0)", "2.5 (3.0, 2.0)",
     ])
     def test_parse_rejects_a_value_outside_its_bounds(self, cell):

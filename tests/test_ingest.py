@@ -296,6 +296,26 @@ class TestLoadConfig:
             vf.PipelineConfig(lag=0)
         assert vf.load_config("lag = 4\n") == vf.PipelineConfig(lag=4)
 
+    @pytest.mark.parametrize("line", [
+        "n_train = 1_000", "lag = \u0662", "outlier_threshold = 2_5",
+        "confidence_level = 9_5e-2", "kz_trend_window = \uff13\uff16\uff15",
+        "kz_seasonal_iters = 5\u0660", "confidence_level = 0.9\u0665",
+    ])
+    def test_numbers_are_plain_ascii_without_underscores(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=key):
+            vf.load_config(line + "\n")
+
+    @pytest.mark.parametrize("line,value", [
+        ("n_train = +120", 120), ("lag = 02", 2),
+        ("outlier_threshold = +2.5e0", 2.5), ("outlier_threshold = 3", 3.0),
+        ("confidence_level = 95E-2", 0.95), ("confidence_level = .5", 0.5),
+    ])
+    def test_numbers_keep_signs_and_exponents(self, line, value):
+        key = line.split()[0]
+        config = vf.load_config(line + "\n")
+        assert getattr(config, key) == value
+
     @pytest.mark.parametrize("terms", ["1_0:0", "+1:0", "\u0663:0", "0:-1", "0 :1.0"])
     def test_term_exponents_must_be_plain_digits(self, terms):
         with pytest.raises(ConfigError, match="terms_volatility"):

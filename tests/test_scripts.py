@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # relative to ROOT, as the pinned hash lines name it
 BUNDLED = "data/synthetic_vix.csv"
 PINNED_HASHES = ROOT / "tests" / "data" / "artifact_hashes.txt"
+PINNED_FIT_PATHS = ROOT / "tests" / "data" / "fit_paths.txt"
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +81,20 @@ def test_fit_paths_records_every_fit_of_an_op():
     assert counters["surface.excluded_rows"] == sum(passes)
     assert counters["surface.irls_solves.lar"] == sum(
         r[1] for r in records if r[0] == "lar")
+
+
+def test_fit_paths_keep_their_pinned_output():
+    # the bundled file's hashes never run the L1 exchange loop on generated
+    # series; these paths change when any fit there takes another exchange,
+    # reweighting or outlier pass.  Pinned, like the hashes, for the numpy
+    # and scipy versions the header names
+    text = PINNED_FIT_PATHS.read_text()
+    pinned = re.search(r"^# numpy (\S+) scipy (\S+)$", text, re.MULTILINE).groups()
+    if pinned != (np.__version__, scipy.__version__):
+        pytest.skip(f"fit paths pinned under numpy {pinned[0]} and scipy {pinned[1]}, "
+                    f"not numpy {np.__version__} and scipy {scipy.__version__}")
+    argv = re.match(r"# python (scripts/fit_paths\.py [\d ]+)\n", text)[1].split()
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == [line for line in text.splitlines()
+                                        if not line.startswith("#")]

@@ -437,6 +437,158 @@ class TestL1Vertex:
         self.assert_certified_optimum(table, terms, vf.fit_lar(table, terms))
 
 
+def _one_sort_line_search(t, weight, descent):
+    """The line search as one stable sort of every breakpoint: the reference."""
+    order = np.argsort(t, kind="stable")
+    stop = int(np.searchsorted(np.cumsum(weight[order]), descent))
+    return order[:stop + 1]
+
+
+def _full_sort_independent_rows(X, keys):
+    """The basis row pick by a full stable argsort and a span grown by vstack:
+    the reference."""
+    p = X.shape[1]
+    scaled = X / np.max(np.abs(X), axis=0)
+    span = np.empty((0, p))
+    rows = []
+    for i in np.argsort(keys, kind="stable"):
+        v = scaled[i]
+        w = v - (span @ v) @ span
+        w -= (span @ w) @ span
+        norm = math.sqrt(w @ w)
+        if norm > 64 * p * np.finfo(float).eps * math.sqrt(v @ v):
+            span = np.vstack([span, w / norm])
+            rows.append(i)
+            if len(rows) == p:
+                break
+    return np.sort(np.array(rows))
+
+
+# breakpoint and key values with ties, signed zeros and infinities
+TIED_KEYS = [-np.inf, -1.5, -0.0, 0.0, 1e-300, 0.5, 0.5 + 2 ** -53, 2.0, np.inf]
+
+
+class TestPrefixSorts:
+    """The LAR vertex sorts prefixes only, with the bits of a full stable sort."""
+
+    @given(keys=st.lists(st.sampled_from(TIED_KEYS)
+                         | st.floats(-1e3, 1e3, allow_subnormal=True),
+                         min_size=1, max_size=300),
+           size=st.integers(1, 320))
+    @example(keys=[2.0, 1.0, 2.0, 2.0, 0.5], size=2)
+    @example(keys=[0.0, -0.0, 0.0, -0.0, 1.0], size=1)
+    @example(keys=[np.inf, -np.inf, np.inf, 0.0, -np.inf], size=3)
+    @example(keys=[1.0] * 5, size=1)
+    @example(keys=[3.0, 1.0, 2.0], size=3)
+    @example(keys=[3.0, 1.0, 2.0], size=7)
+    @settings(max_examples=400, deadline=None)
+    def test_stable_prefix_is_a_prefix_of_the_stable_argsort(self, keys, size):
+        keys = np.array(keys)
+        before = keys.tobytes()
+        out = surface._stable_prefix(keys, size)
+        assert out.size >= min(size, keys.size)
+        assert np.array_equal(out, np.argsort(keys, kind="stable")[:out.size])
+        assert keys.tobytes() == before
+
+    @pytest.mark.parametrize("keys,size,expected", [
+        # ties at the cut come along whole, in index order
+        ([2.0, 1.0, 2.0, 2.0, 0.5], 3, [4, 1, 0, 2, 3]),
+        ([0.0, -0.0, 1.0, -0.0], 1, [0, 1, 3]),
+        ([np.inf, 1.0, -np.inf], 2, [2, 1]),
+        ([1.0, 1.0], 5, [0, 1]),
+    ])
+    def test_stable_prefix_keeps_ties_at_the_cut(self, keys, size, expected):
+        assert surface._stable_prefix(np.array(keys), size).tolist() == expected
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 1500),
+           levels=st.sampled_from([0, 2, 40]),
+           share=st.floats(0.0, 1.5), zeros=st.booleans())
+    @example(seed=0, n=1000, levels=0, share=2.0, zeros=False)
+    @example(seed=1, n=300, levels=2, share=0.9, zeros=True)
+    @settings(max_examples=200, deadline=None)
+    def test_line_search_matches_one_sort(self, seed, n, levels, share, zeros):
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal(n)
+        if levels:
+            t = np.round(t * levels) / levels
+        weight = rng.exponential(1.0, n) * rng.choice([1.0, 2.0], n)
+        if zeros:
+            weight[rng.random(n) < 0.3] = 0.0
+        descent = share * float(np.sum(weight))
+        expected = _one_sort_line_search(t, weight, descent)
+        assert np.array_equal(surface._line_search(t, weight, descent), expected)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300, 2000])
+    def test_line_search_past_the_total_weight_crosses_every_breakpoint(self, n):
+        rng = np.random.default_rng(n)
+        t = np.round(rng.standard_normal(n), 1)
+        weight = rng.uniform(0.5, 2.0, n)
+        for descent in (float(np.sum(weight)) * 1.01, np.inf):
+            crossed = surface._line_search(t, weight, descent)
+            assert np.array_equal(crossed, np.argsort(t, kind="stable"))
+
+    def test_line_search_on_the_exchanges_of_bundled_fits(self, monkeypatch):
+        calls = []
+
+        def recorded(t, weight, descent):
+            calls.append((t.copy(), weight.copy(), descent))
+            return line_search(t, weight, descent)
+
+        line_search = surface._line_search
+        monkeypatch.setattr(surface, "_line_search", recorded)
+        run_pipeline(BUNDLED.read_text(), vf.PipelineConfig())
+        assert len(calls) > 40
+        for t, weight, descent in calls:
+            assert np.array_equal(line_search(t, weight, descent),
+                                  _one_sort_line_search(t, weight, descent))
+
+    def assert_rows_match(self, X, keys):
+        expected = _full_sort_independent_rows(X, keys)
+        got = surface._independent_rows(X, keys)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        return got
+
+    @pytest.mark.parametrize("p", [1, 3, 5, 11])
+    @pytest.mark.parametrize("n", [11, 60, 400])
+    def test_independent_rows_on_ols_residuals(self, n, p):
+        rng = np.random.default_rng([n, p])
+        X, terms = _random_design(rng, n, p)
+        z = X @ rng.standard_normal(p) + rng.standard_t(2, n)
+        r = z - X @ _qr_solve(X, z, terms)[0]
+        assert self.assert_rows_match(X, np.abs(r)).size == p
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_independent_rows_skips_duplicated_rows(self, tied):
+        rng = np.random.default_rng(3)
+        X, _ = _random_design(rng, 50, 5)
+        # the 100 smallest keys belong to copies of two rows, so the walk
+        # grows its prefix from 4p = 20 to 80 to 320 before it finds five
+        copied = np.vstack([np.repeat(X[:2], 50, axis=0), X[2:]])
+        low = np.zeros(100) if tied else np.linspace(0.0, 0.5, 100)
+        keys = np.concatenate([low, rng.uniform(1.0, 2.0, 48)])
+        rows = self.assert_rows_match(copied, keys)
+        assert rows.size == 5 and rows[0] == 0 and rows[1] == 50
+
+    def test_independent_rows_of_a_nearly_collinear_design(self):
+        # TestL1Vertex's design: QR keeps rank 3, the row test finds two rows
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = np.linspace(0.5, 2.0, 8)
+            y = x * (1.0 + 1e-14 * rng.standard_normal(8))
+            X = np.column_stack([np.ones(8), x, y])
+            keys = np.abs(rng.standard_t(2, 8))
+            assert self.assert_rows_match(X, keys).size < 3
+
+    @pytest.mark.parametrize("n", [3, 12, 13, 100, 700])
+    def test_independent_rows_of_a_rank_two_design(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        X = np.column_stack([a, b, a - 2.0 * b])
+        keys = np.round(rng.uniform(0.0, 1.0, n), 1)
+        assert self.assert_rows_match(X, keys).size == min(2, n)
+
+
 class TestFitBisquare:
     def test_noiseless_equals_ols(self):
         rng = np.random.default_rng(9)
