@@ -210,6 +210,14 @@ def _cmd_export_plot(args) -> int:
     return 0
 
 
+def _plain(kind):
+    """An argparse ``type`` reading ``kind`` by the plain-number rule."""
+    def read(text: str):
+        return sf._plain_number(text, kind)
+    read.__name__ = kind.__name__   # argparse says "invalid int value: ..."
+    return read
+
+
 def _add_pipeline_options(parser: argparse.ArgumentParser, fitting: bool) -> None:
     parser.add_argument("--input", required=True, help="price CSV path")
     parser.add_argument("--config", help="pipeline config file")
@@ -219,10 +227,10 @@ def _add_pipeline_options(parser: argparse.ArgumentParser, fitting: bool) -> Non
         parser.add_argument("--method", choices=sorted(sf.FIT_METHODS),
                             dest="fit_method",
                             help="override the configured fit method")
-        parser.add_argument("--n-train", type=int, dest="n_train",
+        parser.add_argument("--n-train", type=_plain(int), dest="n_train",
                             help="override the training row count")
-        parser.add_argument("--lag", type=int, help="override the feature lag")
-        parser.add_argument("--threshold", type=float, dest="outlier_threshold",
+        parser.add_argument("--lag", type=_plain(int), help="override the feature lag")
+        parser.add_argument("--threshold", type=_plain(float), dest="outlier_threshold",
                             metavar="THRESHOLD",
                             help="override the outlier threshold")
 
@@ -245,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="evaluate a saved model at (x, y)")
     p_pred.add_argument("model", help="model document path")
-    p_pred.add_argument("x", type=float)
-    p_pred.add_argument("y", type=float)
+    p_pred.add_argument("x", type=_plain(float))
+    p_pred.add_argument("y", type=_plain(float))
     p_pred.set_defaults(func=_cmd_predict)
 
     p_eval = sub.add_parser("evaluate",
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("export-plot",
                             help="write surface-grid and residual CSVs")
     _add_pipeline_options(p_plot, fitting=True)
-    p_plot.add_argument("--grid", type=int, default=25,
+    p_plot.add_argument("--grid", type=_plain(int), default=25,
                         help="surface grid density per axis (default 25)")
     p_plot.set_defaults(func=_cmd_export_plot)
 

@@ -22,6 +22,7 @@ from .surface import (
     _flag,
     _list,
     _number,
+    _plain_number,
     evaluate_surface,
 )
 
@@ -204,9 +205,7 @@ def _table_exponent(text: str) -> int:
 def _table_number(text: str) -> float:
     """One of a coefficient cell's numbers: a finite float in ASCII, no ``_``."""
     try:
-        if "_" in text or not text.isascii():
-            raise ValueError(text)
-        value = float(text)
+        value = _plain_number(text)
     except ValueError:
         raise FormatError(
             f"cannot parse number {text!r} in a coefficient cell") from None

@@ -1,4 +1,4 @@
-"""CSV price ingestion, pipeline configuration, and series validation."""
+"""CSV price ingestion and pipeline configuration."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .surface import (
     FIT_METHODS,
     SERIES_NAMES,
     TermSet,
+    _plain_number,
 )
 
 MISSING_MARKERS = ("", "null", "NaN")
@@ -51,20 +52,6 @@ class PriceSeries:
     @property
     def missing(self) -> np.ndarray:
         return np.isnan(self.values)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Data-quality findings for one price series; report-only."""
-
-    missing_count: int
-    nonpositive_count: int
-    gaps: tuple[tuple[dt.date, dt.date], ...]
-    fatal: bool
-
-    @property
-    def is_clean(self) -> bool:
-        return not (self.missing_count or self.nonpositive_count or self.gaps)
 
 
 @dataclass(frozen=True)
@@ -107,6 +94,9 @@ class PipelineConfig:
                     f"n_train={self.n_train} is below the {len(terms)} terms "
                     f"configured for {name}"
                 )
+        missing = [name for name in SERIES_NAMES if name not in self.term_sets]
+        if missing:
+            raise ConfigError(f"no term set for series {', '.join(missing)}")
 
 
 _INT_KEYS = {
@@ -145,9 +135,7 @@ def load_config(raw_text: str) -> PipelineConfig:
         if key not in raw:
             return default
         try:
-            if "_" in raw[key] or not raw[key].isascii():
-                raise ValueError(raw[key])
-            return kind(raw[key])
+            return _plain_number(raw[key], kind)
         except ValueError as exc:
             noun = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key} must be {noun}, got {raw[key]!r}") from exc
@@ -196,7 +184,7 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
 
     The first row must be a header containing at least Date plus the
     configured price column; cells equal to "null", "NaN", or empty are
-    recorded as missing.
+    recorded as missing, and the others must be ASCII numbers without ``_``.
     """
     config = config or PipelineConfig()
     # row numbers count the non-blank rows, the header being row 1; blank
@@ -235,7 +223,7 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
             value = math.nan
         else:
             try:
-                value = float(cell)
+                value = _plain_number(cell)
             except ValueError as exc:
                 raise ParseError(
                     f"row {rownum}: cannot parse price {cell!r}", row=rownum
@@ -247,35 +235,3 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
         dates.append(date)
         values.append(value)
     return PriceSeries(tuple(dates), np.array(values))
-
-
-def price_series_to_csv(series: PriceSeries, price_column: str = "Close") -> str:
-    """Serialize a series back to CSV; re-parsing yields an identical series."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Date", price_column])
-    for date, value in zip(series.dates, series.values):
-        cell = "null" if np.isnan(value) else repr(float(value))
-        writer.writerow([date.isoformat(), cell])
-    return buf.getvalue()
-
-
-def validate_series(series: PriceSeries, max_gap_days: int = 7) -> ValidationReport:
-    """Data-quality report: missing entries, non-positive prices, date gaps.
-
-    A non-positive non-missing price is fatal because downstream returns
-    take logarithms.
-    """
-    missing = series.missing
-    nonpositive = int(np.count_nonzero(~missing & (series.values <= 0)))
-    gaps = tuple(
-        (prev, cur)
-        for prev, cur in zip(series.dates, series.dates[1:])
-        if (cur - prev).days > max_gap_days
-    )
-    return ValidationReport(
-        missing_count=int(np.count_nonzero(missing)),
-        nonpositive_count=nonpositive,
-        gaps=gaps,
-        fatal=nonpositive > 0,
-    )

@@ -749,6 +749,17 @@ def _number(value, name: str) -> float:
     raise FormatError(f"{name} must be a finite number, got {value!r}")
 
 
+def _plain_number(text: str, kind=float):
+    """``kind(text)`` for ASCII text without ``_``; otherwise ValueError.
+
+    ``int()`` and ``float()`` also read ``1_0`` and non-ASCII digits, which
+    no reader of volfit accepts; signs, exponents and spaces read as they do.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
+
+
 def _count(value, name: str) -> int:
     """A JSON non-negative integer; 2.0, 2.7 and true are rejected."""
     if type(value) is not int or value < 0:

@@ -215,6 +215,22 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("ConfigError: lag must be >= 1")
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("command,flag,value,kind", [
+        ("fit", "--n-train", "4_0", "int"), ("evaluate", "--lag", "\u0662", "int"),
+        ("fit", "--threshold", "\uff13", "float"),
+        ("evaluate", "--threshold", "2_5", "float"),
+        ("export-plot", "--grid", "1_0", "int"),
+    ])
+    def test_number_flags_are_plain_numbers(self, workspace, capsys,
+                                            command, flag, value, kind):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, "--input", workspace / "prices.csv",
+                    "--config", workspace / "volfit.cfg", flag, value,
+                    "--out-dir", workspace / "out")
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid {kind} value" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_env_var_default_out_dir(self, workspace, monkeypatch):
         target = workspace / "env_out"
         monkeypatch.setenv("VOLFIT_OUT_DIR", str(target))
@@ -249,6 +265,17 @@ class TestPredictCommand:
         doc = tmp_path / "model.json"
         self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
         assert run_cli("predict", doc, 3.0, 4.0) == 0
+        assert capsys.readouterr().out.strip() == "25.0000"
+
+    @pytest.mark.parametrize("x,y", [("\u0663", "4"), ("3", "1_0"), ("\uff13", "4")])
+    def test_coordinates_are_plain_numbers(self, tmp_path, capsys, x, y):
+        doc = tmp_path / "model.json"
+        self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("predict", doc, x, y)
+        assert excinfo.value.code == 2
+        assert "invalid float value" in capsys.readouterr().err
+        assert run_cli("predict", doc, "+3e0", " 4 ") == 0
         assert capsys.readouterr().out.strip() == "25.0000"
 
     def test_truncated_document_exits_2(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for CSV ingestion, configuration parsing, and series validation."""
+"""Tests for CSV ingestion, configuration parsing, and the public names."""
 
 import csv
 import datetime as dt
@@ -220,19 +220,16 @@ class TestParsePriceCsv:
         series = vf.parse_price_csv("Date,Close\n" + rows + "\n")
         assert len(series) == 28
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(12)
-        dates, day = [], dt.date(2011, 1, 3)
-        for _ in range(60):
-            dates.append(day)
-            day += dt.timedelta(days=int(rng.integers(1, 4)))
-        values = rng.uniform(10, 50, 60)
-        values[rng.random(60) < 0.15] = np.nan
-        original = vf.PriceSeries(tuple(dates), values)
-        text = vf.price_series_to_csv(original)
-        parsed = vf.parse_price_csv(text)
-        assert parsed.dates == original.dates
-        assert np.array_equal(parsed.values, original.values, equal_nan=True)
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff11\uff12", "1.5\u0660"])
+    def test_price_cells_are_plain_numbers(self, cell):
+        text = f"Date,Close\n2011-01-03,100.0\n2011-01-04,{cell}\n"
+        with pytest.raises(ParseError, match="cannot parse price") as excinfo:
+            vf.parse_price_csv(text)
+        assert excinfo.value.row == 3
+
+    def test_price_cells_keep_signs_exponents_and_spaces(self):
+        text = "Date,Close\n2011-01-03, +1.5e1 \n2011-01-04,\u00a02E-1\t\n"
+        assert vf.parse_price_csv(text).values.tolist() == [15.0, 0.2]
 
 
 class TestLoadConfig:
@@ -290,6 +287,10 @@ class TestLoadConfig:
     def test_lag_must_be_positive(self):
         with pytest.raises(ConfigError):
             vf.load_config("lag = 0\n")
+
+    def test_every_series_needs_a_term_set(self):
+        with pytest.raises(ConfigError, match="volatility, seasonal, remainder"):
+            vf.PipelineConfig(term_sets={"trend": vf.TermSet(((0, 0), (1, 0)))})
 
     def test_lag_checked_by_the_config_itself(self):
         with pytest.raises(ConfigError, match="lag"):
@@ -437,36 +438,11 @@ class TestConfigFuzz:
         assert config_text(vf.load_config(document)) == document
 
 
-class TestValidateSeries:
-    def _series(self, values, start=dt.date(2011, 1, 3), steps=None):
-        dates, day = [], start
-        for i in range(len(values)):
-            dates.append(day)
-            day += dt.timedelta(days=steps[i] if steps else 1)
-        return vf.PriceSeries(tuple(dates), np.array(values, dtype=float))
-
-    def test_clean_series(self):
-        report = vf.validate_series(self._series([10.0, 11.0, 12.0]))
-        assert report.is_clean
-        assert not report.fatal
-
-    def test_nonpositive_value_is_fatal(self):
-        report = vf.validate_series(self._series([10.0, -1.0, 12.0]))
-        assert report.nonpositive_count == 1
-        assert report.fatal
-
-    def test_ten_day_gap_reported(self):
-        series = self._series([10.0, 11.0, 12.0], steps=[1, 10, 1])
-        report = vf.validate_series(series)
-        assert len(report.gaps) == 1
-        assert (report.gaps[0][1] - report.gaps[0][0]).days == 10
-
-    def test_seven_day_gap_not_reported(self):
-        series = self._series([10.0, 11.0], steps=[7, 1])
-        report = vf.validate_series(series)
-        assert report.gaps == ()
-
-    def test_missing_counted_not_fatal(self):
-        report = vf.validate_series(self._series([10.0, np.nan, 12.0]))
-        assert report.missing_count == 1
-        assert not report.fatal
+class TestPublicNames:
+    def test_all_resolves_and_star_import_binds_exactly_all(self):
+        assert len(set(vf.__all__)) == len(vf.__all__)
+        assert [name for name in vf.__all__ if not hasattr(vf, name)] == []
+        namespace = {}
+        exec("from volfit import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(vf.__all__)
