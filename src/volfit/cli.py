@@ -197,6 +197,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export_plot(args) -> int:
+    # refused before the prices are read and fitted; export_plot_data checks again
+    if args.grid < 2:
+        raise ValueError("grid density must be >= 2")
     raw_prices, config = _load_inputs(args)
     _, results = run_pipeline(raw_prices, config)
     artifacts: dict[str, str] = {}

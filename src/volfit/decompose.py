@@ -37,14 +37,6 @@ class ReturnSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def index(self) -> np.ndarray:
-        return np.arange(1, self.values.size + 1)
-
-    @property
-    def missing(self) -> np.ndarray:
-        return np.isnan(self.values)
-
 
 @dataclass(frozen=True)
 class DecomposedSeries:

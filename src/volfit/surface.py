@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegreesOfFreedomError,
     ExclusionError,
     FormatError,
     InsufficientData,
@@ -158,9 +157,9 @@ class PolySurfaceModel:
     exchanges (0 for OLS).  ``converged`` means bisquare met its step
     tolerance, or that LAR's vertex carries the L1 optimality certificate;
     LAR reports False also when the cap is hit on an optimal vertex, whose
-    certificate is then not tested (see ``fit_lar``).  Every field is
-    written to the model document, and the bounds can be rebuilt from the
-    document and the fit's table (see ``confidence_bounds``).
+    certificate is then not tested (see ``fit_lar``).  The fit computes the
+    bounds; every field is written to the model document, and reading the
+    document back gives the model bit for bit.
     """
 
     term_set: TermSet
@@ -359,9 +358,9 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
 
     se comes from sigma^2 (X'WX)^-1 with W = diag(weights), or the identity
     if the weights leave X rank deficient.  An interpolating fit (n == p)
-    has no residual degrees of freedom and gets point bounds.  Every fit and
-    ``confidence_bounds`` pass through here, so all of them raise
-    ValueError unless 0 < level < 1.
+    has no residual degrees of freedom and gets point bounds.  Every fit
+    passes through here, so every fit raises ValueError unless
+    0 < level < 1.
     """
     from scipy.special import stdtrit
 
@@ -393,7 +392,8 @@ def _finish_model(method: str, table: FeatureTable, terms: TermSet, X: np.ndarra
                   confidence_level: float) -> PolySurfaceModel:
     """Assemble the model record: sigma, t-based bounds, bookkeeping.
 
-    The bounds weight the rows as ``confidence_bounds`` does on a reload.
+    This is the one place bounds are computed: the rows are weighted as the
+    fit of ``method`` ended, and ``floor`` is LAR's (0.0 for the others).
     """
     n, p = X.shape
     residuals = table.target - X @ beta
@@ -423,15 +423,6 @@ def _ols_start(table: FeatureTable, terms: TermSet):
         )
     beta, _ = _qr_solve(X, table.target, terms)
     return X, beta
-
-
-def _lar_floor(residuals: np.ndarray, p: int) -> float:
-    """LAR_FLOOR times the sigma of the OLS start's residuals; 0 if it interpolates."""
-    n = residuals.size
-    sse = float(residuals @ residuals)
-    if n == p or sse == 0.0:
-        return 0.0
-    return LAR_FLOOR * math.sqrt(sse / (n - p))
 
 
 def _final_weights(method: str, residuals: np.ndarray, p: int,
@@ -614,7 +605,10 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     X, start = _ols_start(table, terms)
     y = table.target
     residuals = y - X @ start
-    floor = _lar_floor(residuals, X.shape[1])
+    n, p = X.shape
+    sse = float(residuals @ residuals)
+    # 0 when the start interpolates the rows: no sigma to scale the floor by
+    floor = 0.0 if n == p or sse == 0.0 else LAR_FLOOR * math.sqrt(sse / (n - p))
     beta, exchanges, certified = start, 0, True
     if floor > 0.0:
         vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
@@ -665,35 +659,6 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
         iterations=solves, converged=converged,
         confidence_level=confidence_level,
     )
-
-
-def confidence_bounds(model: PolySurfaceModel, table: FeatureTable,
-                      level: float) -> tuple[tuple[float, float], ...]:
-    """Per-term Student-t intervals at the given confidence level.
-
-    bound = c +- t_{1-(1-level)/2, n-p} * se(c), with the standard errors
-    taken from the diagonal of sigma^2 (X'WX)^-1 where W holds the weights
-    the fit ended with: 1 / max(|r|, floor) for LAR, the biweights for
-    bisquare, the identity for ordinary least squares.  The weights are
-    rebuilt from the coefficients and the table's residuals as the fit
-    built them, so on the fit's table a fitted model and its reloaded
-    document both give the stored bounds exactly.  Raises ValueError
-    unless 0 < level < 1.
-    """
-    n, p = len(table), len(model.term_set)
-    if n <= p:
-        raise DegreesOfFreedomError(
-            f"confidence bounds need more rows ({n}) than terms ({p})"
-        )
-    X = design_matrix(table, model.term_set)
-    floor = 0.0
-    if model.method == "lar":
-        # the floor comes from the OLS start; no other method uses it
-        start, _ = _qr_solve(X, table.target, model.term_set)
-        floor = _lar_floor(table.target - X @ start, p)
-    residuals = table.target - X @ np.asarray(model.coefficients)
-    weights = _final_weights(model.method, residuals, p, floor)
-    return _t_bounds(X, weights, model.sigma, model.coefficients, level)
 
 
 def remove_outliers(table: FeatureTable, model: PolySurfaceModel,

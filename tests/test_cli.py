@@ -332,6 +332,17 @@ class TestExportPlotCommand:
         with pytest.raises(ValueError):
             export_plot_data(model, table, 1)
 
+    def test_grid_below_two_refused_before_reading_prices(self, workspace, capsys):
+        # the grid is refused before the input is opened, so a missing
+        # price file is never reported
+        rc = run_cli("export-plot", "--input", workspace / "missing.csv",
+                     "--grid", 1, "--out-dir", workspace / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "ValueError: grid density must be >= 2\n"
+        )
+        assert not (workspace / "out").exists()
+
 
 class TestPipelineFits:
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
@@ -349,19 +360,6 @@ class TestPipelineFits:
         config = replace(vf.load_config(SMALL_CONFIG), fit_method=method)
         run_pipeline((workspace / "prices.csv").read_text(), config)
         assert len(calls) >= 4
-
-    @pytest.mark.parametrize("method", vf.FIT_METHODS)
-    def test_reloaded_bounds_equal_stored_bounds(self, method):
-        data = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
-        config = vf.PipelineConfig(fit_method=method)
-        _, results = run_pipeline(data.read_text(encoding="utf-8"), config)
-        for name in vf.SERIES_NAMES:
-            model = results[name]["model"]
-            loaded = vf.model_from_document(vf.model_to_document(model))
-            recomputed = vf.confidence_bounds(
-                loaded, results[name]["train"], config.confidence_level
-            )
-            assert recomputed == model.bounds, name
 
 
 class TestEvaluateCommand:

@@ -31,7 +31,7 @@ class TestLogReturns:
 
     def test_missing_propagates_to_both_neighbours(self):
         returns = vf.log_returns(price_series([100.0, np.nan, 120.0]))
-        assert returns.missing.tolist() == [True, True]
+        assert np.isnan(returns.values).tolist() == [True, True]
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
@@ -44,7 +44,6 @@ class TestLogReturns:
     def test_length_is_one_less(self):
         returns = vf.log_returns(price_series(np.linspace(10, 20, 40)))
         assert len(returns) == 39
-        assert returns.index.tolist() == list(range(1, 40))
 
 
 class TestMovingAveragePass:

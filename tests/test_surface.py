@@ -15,7 +15,6 @@ import volfit as vf
 from volfit import surface
 from volfit.cli import run_pipeline
 from volfit.errors import (
-    DegreesOfFreedomError,
     ExclusionError,
     FormatError,
     InsufficientData,
@@ -657,83 +656,25 @@ class TestConfidenceBounds:
             assert lo == pytest.approx(c - tq * s, rel=1e-9)
             assert hi == pytest.approx(c + tq * s, rel=1e-9)
 
-    def test_stored_bounds_match_recomputed(self):
-        rng = np.random.default_rng(13)
-        table = planted_table(LINE, [1.0, -2.0], 40, rng, noise=0.1)
-        for fit in (vf.fit_ols, vf.fit_lar, vf.fit_bisquare):
-            model = fit(table, LINE)
-            recomputed = vf.confidence_bounds(model, table, 0.95)
-            for (lo1, hi1), (lo2, hi2) in zip(model.bounds, recomputed):
-                assert lo1 == pytest.approx(lo2, rel=1e-9, abs=1e-12)
-                assert hi1 == pytest.approx(hi2, rel=1e-9, abs=1e-12)
-
     def test_wider_at_higher_level(self):
         rng = np.random.default_rng(14)
         table = planted_table(LINE, [1.0, -2.0], 40, rng, noise=0.1)
-        model = vf.fit_ols(table, LINE)
-        narrow = vf.confidence_bounds(model, table, 0.5)
-        wide = vf.confidence_bounds(model, table, 0.99)
-        for (nlo, nhi), (wlo, whi) in zip(narrow, wide):
-            assert whi - wlo > nhi - nlo
-
-    def test_degrees_of_freedom_error(self):
-        table = make_table([0.5, 1.0], [1.0, 2.0], [1.0, 2.0])
-        model = vf.fit_ols(table, LINE)
-        with pytest.raises(DegreesOfFreedomError):
-            vf.confidence_bounds(model, table, 0.95)
-
-    def test_deserialized_model_bounds_reconstructible(self):
-        # a document holds no weights; the bounds must still be recoverable
-        # from the residuals
-        rng = np.random.default_rng(41)
-        table = planted_table(LINE, [1.0, -2.0], 60, rng, noise=0.15)
         for fit in (vf.fit_ols, vf.fit_lar, vf.fit_bisquare):
-            model = fit(table, LINE)
-            loaded = vf.model_from_document(vf.model_to_document(model))
-            recomputed = vf.confidence_bounds(loaded, table, 0.95)
-            for (lo1, hi1), (lo2, hi2) in zip(model.bounds, recomputed):
-                assert lo1 == pytest.approx(lo2, rel=1e-6, abs=1e-9)
-                assert hi1 == pytest.approx(hi2, rel=1e-6, abs=1e-9)
-
-    @pytest.mark.parametrize("method,solves", [("ols", 0), ("bisquare", 0), ("lar", 1)])
-    def test_reload_solves_only_for_the_lar_floor(self, monkeypatch, method, solves):
-        rng = np.random.default_rng(42)
-        table = planted_table(LINE, [1.0, -2.0], 60, rng, noise=0.15)
-        model = getattr(vf, f"fit_{method}")(table, LINE)
-        loaded = vf.model_from_document(vf.model_to_document(model))
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return _qr_solve(*args, **kwargs)
-
-        monkeypatch.setattr(surface, "_qr_solve", counting)
-        assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
-        assert len(calls) == solves
-
-    def test_reloaded_lar_bounds_equal_stored_bounds(self, monkeypatch):
-        # the reload floors LAR weights at LAR_FLOOR times the sigma of the
-        # OLS start, as the fit did, not at the final sigma
-        rng = np.random.default_rng(1)
-        terms = vf.DEFAULT_TERM_SETS["volatility"]
-        table = planted_table(terms, rng.normal(0, 1, len(terms)), 30, rng)
-        table = make_table(table.x, table.y, table.target + 0.1 * rng.standard_t(2, 30))
-        monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 500)
-        model = vf.fit_lar(table, terms)
-        loaded = vf.model_from_document(vf.model_to_document(model))
-        assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
+            narrow = fit(table, LINE, confidence_level=0.5).bounds
+            wide = fit(table, LINE, confidence_level=0.99).bounds
+            for (nlo, nhi), (wlo, whi) in zip(narrow, wide):
+                assert whi - wlo > nhi - nlo
 
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
     @pytest.mark.parametrize("name", sorted(vf.DEFAULT_TERM_SETS))
     def test_reloaded_bounds_are_the_stored_bounds_exactly(self, method, name):
-        # the document is the whole model: bounds rebuilt from it and the
-        # table are the fit's own, bit for bit
+        # the document is the whole model: reading it back gives the fit's
+        # bounds and every other field, bit for bit
         terms = vf.DEFAULT_TERM_SETS[name]
         for seed in range(4):
             table = _heavy_tailed_table(terms, [seed, 17], 250)
             model = getattr(vf, f"fit_{method}")(table, terms)
-            loaded = vf.model_from_document(vf.model_to_document(model))
-            assert vf.confidence_bounds(loaded, table, 0.95) == model.bounds
+            assert vf.model_from_document(vf.model_to_document(model)) == model
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
@@ -743,8 +684,6 @@ class TestConfidenceBounds:
         fit = getattr(vf, f"fit_{method}")
         with pytest.raises(ValueError, match="confidence level"):
             fit(table, LINE, confidence_level=level)
-        with pytest.raises(ValueError, match="confidence level"):
-            vf.confidence_bounds(fit(table, LINE), table, level)
 
 
 @pytest.mark.parametrize("method", vf.FIT_METHODS)
