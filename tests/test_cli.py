@@ -332,11 +332,12 @@ class TestExportPlotCommand:
         with pytest.raises(ValueError):
             export_plot_data(model, table, 1)
 
-    def test_grid_below_two_refused_before_reading_prices(self, workspace, capsys):
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_grid_below_two_refused_before_reading_prices(self, workspace, capsys, grid):
         # the grid is refused before the input is opened, so a missing
         # price file is never reported
         rc = run_cli("export-plot", "--input", workspace / "missing.csv",
-                     "--grid", 1, "--out-dir", workspace / "out")
+                     "--grid", grid, "--out-dir", workspace / "out")
         assert rc == 2
         assert capsys.readouterr().err == (
             "ValueError: grid density must be >= 2\n"
@@ -360,6 +361,23 @@ class TestPipelineFits:
         config = replace(vf.load_config(SMALL_CONFIG), fit_method=method)
         run_pipeline((workspace / "prices.csv").read_text(), config)
         assert len(calls) >= 4
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_reloaded_bounds_equal_stored_bounds(self, tmp_path, method):
+        # the model documents `fit` writes are the whole of each model: read
+        # back from disk they give the pipeline's bounds bit for bit
+        data = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
+        rc = run_cli("fit", "--input", data, "--method", method,
+                     "--out-dir", tmp_path)
+        assert rc == 0
+        config = vf.PipelineConfig(fit_method=method)
+        _, results = run_pipeline(data.read_text(encoding="utf-8"), config)
+        for name in vf.SERIES_NAMES:
+            model = results[name]["model"]
+            document = (tmp_path / f"model_{name}.json").read_text(encoding="utf-8")
+            loaded = vf.model_from_document(document)
+            assert loaded.bounds == model.bounds, name
+            assert loaded == model, name
 
 
 class TestEvaluateCommand:

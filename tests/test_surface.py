@@ -656,14 +656,15 @@ class TestConfidenceBounds:
             assert lo == pytest.approx(c - tq * s, rel=1e-9)
             assert hi == pytest.approx(c + tq * s, rel=1e-9)
 
-    def test_wider_at_higher_level(self):
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_wider_at_higher_level(self, method):
         rng = np.random.default_rng(14)
         table = planted_table(LINE, [1.0, -2.0], 40, rng, noise=0.1)
-        for fit in (vf.fit_ols, vf.fit_lar, vf.fit_bisquare):
-            narrow = fit(table, LINE, confidence_level=0.5).bounds
-            wide = fit(table, LINE, confidence_level=0.99).bounds
-            for (nlo, nhi), (wlo, whi) in zip(narrow, wide):
-                assert whi - wlo > nhi - nlo
+        fit = getattr(vf, f"fit_{method}")
+        narrow = fit(table, LINE, confidence_level=0.5).bounds
+        wide = fit(table, LINE, confidence_level=0.99).bounds
+        for (nlo, nhi), (wlo, whi) in zip(narrow, wide):
+            assert whi - wlo > nhi - nlo
 
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
     @pytest.mark.parametrize("name", sorted(vf.DEFAULT_TERM_SETS))
