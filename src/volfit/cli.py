@@ -16,6 +16,7 @@ reruns on the same inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -28,14 +29,6 @@ from . import surface as sf
 from .decompose import DecomposedSeries, decompose, log_returns
 from .errors import ExclusionError, VolfitError
 from .ingest import PipelineConfig, load_config, parse_price_csv
-
-def _csv_text(header: str, columns) -> str:
-    """CSV text: the header line, then one line per row of the cell columns.
-
-    Cells are pre-formatted numbers or empty strings, none of which needs
-    quoting, so the text is what ``csv.writer`` would produce.
-    """
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -58,8 +51,8 @@ def export_plot_data(model: sf.PolySurfaceModel, table: sf.FeatureTable,
     gx = np.repeat(xs, grid_density)
     gy = np.tile(ys, grid_density)
     f = sf.evaluate_surface(model, gx, gy)
-    surface = _csv_text("x,y,f", (_reprs(gx), _reprs(gy), _reprs(f)))
-    residual = _csv_text("index,residual", (
+    surface = ev._csv_text("x,y,f", (_reprs(gx), _reprs(gy), _reprs(f)))
+    residual = ev._csv_text("index,residual", (
         map(str, table.provenance.tolist()),
         _reprs(ev.residuals(model, table)),
     ))
@@ -74,7 +67,7 @@ def decomposition_csv(dec: DecomposedSeries) -> str:
         for i in np.flatnonzero(np.isnan(values)).tolist():
             cells[i] = ""
         columns.append(cells)
-    return _csv_text("index,original,trend,seasonal,remainder", columns)
+    return ev._csv_text("index,original,trend,seasonal,remainder", columns)
 
 
 # PipelineConfig fields the fitting flags override; each flag's dest is its field
@@ -174,6 +167,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    for name, value in (("x", args.x), ("y", args.y)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     model = sf.model_from_document(Path(args.model).read_text(encoding="utf-8"))
     value = sf.evaluate_surface(model, args.x, args.y)
     print(f"{value:#.6g}")

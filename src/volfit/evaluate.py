@@ -60,7 +60,11 @@ class FitReport:
             raise ValueError(f"unknown fit method {self.method!r}")
         if not (self.train_rmse >= 0 and self.test_rmse >= 0):
             raise ValueError("RMSE values must be non-negative numbers")
-        object.__setattr__(self, "excluded", tuple(int(t) for t in self.excluded))
+        excluded = tuple(self.excluded)
+        if any(type(t) is bool or not isinstance(t, (int, np.integer))
+               for t in excluded):
+            raise ValueError(f"excluded indices must be integers, got {excluded!r}")
+        object.__setattr__(self, "excluded", tuple(map(int, excluded)))
 
 
 def split_train_test(table: FeatureTable, n_train: int):
@@ -159,6 +163,22 @@ def _format_cell(value: float, lower: float, upper: float) -> str:
     return f"{value!r} ({lower!r}, {upper!r})"
 
 
+def _csv_text(header: str, columns) -> str:
+    """The header line, then one line per row of the cell columns: what
+    ``csv.writer`` writes, since no pre-formatted cell needs quoting."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+
+
+def _series_order(models: Mapping[str, PolySurfaceModel]) -> list[str]:
+    """The models' series names in SERIES_NAMES order; ValueError if none or unknown."""
+    if not models:
+        raise ValueError("no models to export")
+    for name in models:
+        if name not in SERIES_NAMES:
+            raise ValueError(f"unknown series name {name!r}")
+    return [name for name in SERIES_NAMES if name in models]
+
+
 def export_coefficient_table(models: Mapping[str, PolySurfaceModel]) -> str:
     """Grid of coefficient cells "value (lower, upper)" keyed by (m, n).
 
@@ -166,12 +186,7 @@ def export_coefficient_table(models: Mapping[str, PolySurfaceModel]) -> str:
     R); columns are the n exponents; terms a surface does not use stay
     blank.
     """
-    if not models:
-        raise ValueError("no models to export")
-    for name in models:
-        if name not in SERIES_NAMES:
-            raise ValueError(f"unknown series name {name!r}")
-    order = [name for name in SERIES_NAMES if name in models]
+    order = _series_order(models)
     all_terms = [mod.term_set.terms for mod in models.values()]
     ms = sorted({m for terms in all_terms for m, _ in terms})
     ns = sorted({n for terms in all_terms for _, n in terms})
@@ -253,17 +268,10 @@ def parse_coefficient_table(text: str):
 
 def coefficient_table_csv(models: Mapping[str, PolySurfaceModel]) -> str:
     """Flat machine-readable table: series, m, n, coefficient, lower, upper."""
-    if not models:
-        raise ValueError("no models to export")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "m", "n", "coefficient", "lower", "upper"])
-    for name in SERIES_NAMES:
-        if name not in models:
-            continue
+    rows = []
+    for name in _series_order(models):
         model = models[name]
-        for (m, n), coef, (lo, hi) in zip(
-            model.term_set.terms, model.coefficients, model.bounds
-        ):
-            writer.writerow([name, m, n, repr(coef), repr(lo), repr(hi)])
-    return buf.getvalue()
+        rows += [(name, str(m), str(n), repr(c), repr(lo), repr(hi))
+                 for (m, n), c, (lo, hi)
+                 in zip(model.term_set.terms, model.coefficients, model.bounds)]
+    return _csv_text("series,m,n,coefficient,lower,upper", zip(*rows))

@@ -53,24 +53,24 @@ BISQUARE_MAX_SOLVES = 50
 
 @dataclass(frozen=True)
 class TermSet:
-    """Ordered, duplicate-free list of (m, n) exponent pairs for one surface."""
+    """Ordered, duplicate-free list of (m, n) exponent pairs for one surface.
+
+    Exponents are Python ints >= 0; a bool, float or string is rejected."""
 
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("term set must be non-empty")
-        coerced = []
-        seen = set()
+        pairs = {}
         for m, n in self.terms:
-            m, n = int(m), int(n)
-            if m < 0 or n < 0:
-                raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
-            if (m, n) in seen:
+            if not (type(m) is int and type(n) is int and m >= 0 and n >= 0):
+                raise ValueError(
+                    f"exponents must be non-negative integers, got ({m!r}, {n!r})")
+            if (m, n) in pairs:
                 raise ValueError(f"duplicate term ({m}, {n})")
-            seen.add((m, n))
-            coerced.append((m, n))
-        object.__setattr__(self, "terms", tuple(coerced))
+            pairs[m, n] = None
+        object.__setattr__(self, "terms", tuple(pairs))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -352,14 +352,14 @@ def bisquare_weights(u) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
 
 
-def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
+def _t_bounds(X: np.ndarray, weights: np.ndarray | None, sigma: float,
              coefficients, level: float) -> tuple[tuple[float, float], ...]:
     """Student-t intervals c +- t_{1-(1-level)/2, n-p} * se(c).
 
     se comes from sigma^2 (X'WX)^-1 with W = diag(weights), or the identity
-    if the weights leave X rank deficient.  An interpolating fit (n == p)
-    has no residual degrees of freedom and gets point bounds.  Every fit
-    passes through here, so every fit raises ValueError unless
+    if ``weights`` is None or leaves X rank deficient.  An interpolating
+    fit (n == p) has no residual degrees of freedom and gets point bounds.
+    Every fit passes through here, so every fit raises ValueError unless
     0 < level < 1.
     """
     from scipy.special import stdtrit
@@ -370,11 +370,10 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
     if n == p:
         return tuple((c, c) for c in coefficients)
     # the unweighted fallback has the bits of unit weights: X * 1.0 is X
-    for sw in (np.sqrt(weights), None):
-        r, _, _, piv, rank = _pivoted_qr(X, sw)
-        if rank == p:
-            break
-    else:
+    r, _, _, piv, rank = _pivoted_qr(X, None if weights is None else np.sqrt(weights))
+    if rank < p and weights is not None:
+        r, _, _, piv, rank = _pivoted_qr(X)
+    if rank < p:
         raise RankError("design matrix is rank deficient")
     rinv = _r_solve(r, np.eye(p))
     variance = np.empty(p)
@@ -387,20 +386,19 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray, sigma: float,
     )
 
 
-def _finish_model(method: str, table: FeatureTable, terms: TermSet, X: np.ndarray,
-                  beta: np.ndarray, floor: float, iterations: int, converged: bool,
+def _finish_model(method: str, terms: TermSet, X: np.ndarray, beta: np.ndarray,
+                  residuals: np.ndarray, weights: np.ndarray | None,
+                  iterations: int, converged: bool,
                   confidence_level: float) -> PolySurfaceModel:
     """Assemble the model record: sigma, t-based bounds, bookkeeping.
 
-    This is the one place bounds are computed: the rows are weighted as the
-    fit of ``method`` ended, and ``floor`` is LAR's (0.0 for the others).
+    This is the one place bounds are computed, from the fit's final
+    residuals and the row weights it ends with (None: unweighted).
     """
     n, p = X.shape
-    residuals = table.target - X @ beta
     coefficients = tuple(float(b) for b in beta)
     # an interpolating fit (n == p) has zero residual degrees of freedom
     sigma = math.sqrt(float(residuals @ residuals) / (n - p)) if n > p else 0.0
-    weights = _final_weights(method, residuals, p, floor)
     return PolySurfaceModel(
         term_set=terms,
         coefficients=coefficients,
@@ -425,21 +423,6 @@ def _ols_start(table: FeatureTable, terms: TermSet):
     return X, beta
 
 
-def _final_weights(method: str, residuals: np.ndarray, p: int,
-                   floor: float) -> np.ndarray:
-    """The weights a fit of ``method`` ends with, given its final residuals."""
-    if method == "lar" and floor > 0.0:
-        return 1.0 / np.maximum(np.abs(residuals), floor)
-    ones = np.ones(residuals.size)
-    if method != "bisquare":
-        return ones
-    scale = _mad_sigma(residuals)
-    if scale == 0.0:
-        return ones
-    weights = bisquare_weights(residuals / (BISQUARE_CONSTANT * scale))
-    return weights if np.count_nonzero(weights) >= p else ones
-
-
 def fit_ols(table: FeatureTable, terms: TermSet,
             confidence_level: float = 0.95) -> PolySurfaceModel:
     """Ordinary least squares via pivoted QR.
@@ -448,7 +431,7 @@ def fit_ols(table: FeatureTable, terms: TermSet,
     """
     X, beta = _ols_start(table, terms)
     return _finish_model(
-        "ols", table, terms, X, beta, 0.0,
+        "ols", terms, X, beta, table.target - X @ beta, None,
         iterations=0, converged=True, confidence_level=confidence_level,
     )
 
@@ -597,29 +580,36 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     tested, so a fit the cap stops reports False even on an optimal vertex.
     The coefficients solve X_B beta = y_B for the final basis B, unless the
     ordinary start has the smaller sum|r|, as it can when the cap stops the
-    fit; sum|r| never exceeds the start's.  A start that interpolates the
-    rows is returned as-is, and so, unconverged, is one of a design with no
-    p rows independent within rounding.  ``LAR_FLOOR`` times the starting
-    sigma floors |r| in the bound weights 1 / max(|r|, floor).
+    fit or no p rows are independent within rounding (unconverged).  A
+    start that interpolates the rows is returned at once, unweighted;
+    otherwise the bound weights are 1 / max(|r|, LAR_FLOOR * starting sigma).
     """
-    X, start = _ols_start(table, terms)
+    X, beta = _ols_start(table, terms)
     y = table.target
-    residuals = y - X @ start
+    residuals = y - X @ beta
     n, p = X.shape
     sse = float(residuals @ residuals)
-    # 0 when the start interpolates the rows: no sigma to scale the floor by
-    floor = 0.0 if n == p or sse == 0.0 else LAR_FLOOR * math.sqrt(sse / (n - p))
-    beta, exchanges, certified = start, 0, True
-    if floor > 0.0:
-        vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
-        if vertex is not None and (np.sum(np.abs(y - X @ vertex))
-                                   <= np.sum(np.abs(residuals))):
-            beta = vertex
-    return _finish_model(
-        "lar", table, terms, X, beta, floor,
-        iterations=exchanges, converged=certified,
-        confidence_level=confidence_level,
-    )
+    if n == p or sse == 0.0:
+        return _finish_model("lar", terms, X, beta, residuals, None, iterations=0,
+                             converged=True, confidence_level=confidence_level)
+    floor = LAR_FLOOR * math.sqrt(sse / (n - p))
+    vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
+    if vertex is not None:
+        at_vertex = y - X @ vertex
+        if np.sum(np.abs(at_vertex)) <= np.sum(np.abs(residuals)):
+            beta, residuals = vertex, at_vertex
+    weights = 1.0 / np.maximum(np.abs(residuals), floor)
+    return _finish_model("lar", terms, X, beta, residuals, weights,
+                         iterations=exchanges, converged=certified,
+                         confidence_level=confidence_level)
+
+
+def _tukey_weights(residuals: np.ndarray) -> np.ndarray | None:
+    """Bisquare weights of r / (c * sigma_mad), or None when sigma_mad is 0."""
+    scale = _mad_sigma(residuals)
+    if scale == 0.0:
+        return None
+    return bisquare_weights(residuals / (BISQUARE_CONSTANT * scale))
 
 
 def fit_bisquare(table: FeatureTable, terms: TermSet,
@@ -630,20 +620,18 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
     median absolute deviation of the residuals about their median over
     0.6745, recomputed every iteration; points far from the surface lose
     all weight.  A zero sigma_mad means the surface already interpolates
-    the bulk of the rows and the current iterate is returned as-is.
+    the bulk of the rows and the current iterate is returned as-is, with
+    unweighted bounds.  Otherwise the bounds take the final iterate's
+    weights, or none if fewer than p rows keep any weight.
     """
     X, beta = _ols_start(table, terms)
     y = table.target
     n, p = X.shape
     converged, solves = n == p, 0
     while not converged and solves < BISQUARE_MAX_SOLVES:
-        residuals = y - X @ beta
-        scale = _mad_sigma(residuals)
-        if scale == 0.0:
-            converged = True
-            break
-        w = bisquare_weights(residuals / (BISQUARE_CONSTANT * scale))
-        if np.count_nonzero(w) < p:
+        w = _tukey_weights(y - X @ beta)
+        converged = w is None
+        if converged or np.count_nonzero(w) < p:
             break
         try:
             candidate, _ = _qr_solve(X, y, terms, w)
@@ -654,11 +642,12 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
         ref = max(float(np.max(np.abs(candidate))), np.finfo(float).tiny)
         beta = candidate
         converged = step <= BISQUARE_TOLERANCE * ref
-    return _finish_model(
-        "bisquare", table, terms, X, beta, 0.0,
-        iterations=solves, converged=converged,
-        confidence_level=confidence_level,
-    )
+    residuals = y - X @ beta
+    w = _tukey_weights(residuals)
+    if w is not None and np.count_nonzero(w) < p:
+        w = None
+    return _finish_model("bisquare", terms, X, beta, residuals, w, iterations=solves,
+                         converged=converged, confidence_level=confidence_level)
 
 
 def remove_outliers(table: FeatureTable, model: PolySurfaceModel,

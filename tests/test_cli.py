@@ -278,6 +278,26 @@ class TestPredictCommand:
         assert run_cli("predict", doc, "+3e0", " 4 ") == 0
         assert capsys.readouterr().out.strip() == "25.0000"
 
+    @pytest.mark.parametrize("x,y,name", [
+        ("nan", "0.1", "x"), ("inf", "0.1", "x"),
+        ("0.1", "-inf", "y"), ("0.1", "NaN", "y"),
+    ])
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys, x, y, name):
+        doc = tmp_path / "model.json"
+        self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
+        assert run_cli("predict", doc, "--", x, y) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} must be finite" in captured.err
+
+    def test_infinite_threshold_still_accepted(self, workspace):
+        rc = run_cli(
+            "fit", "--input", workspace / "prices.csv",
+            "--config", workspace / "volfit.cfg",
+            "--threshold", "inf", "--out-dir", workspace / "out",
+        )
+        assert rc == 0
+
     def test_truncated_document_exits_2(self, tmp_path, capsys):
         doc = tmp_path / "model.json"
         doc.write_text('{"method": "ols"', encoding="utf-8")

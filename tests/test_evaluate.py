@@ -183,6 +183,13 @@ class TestFitReport:
         with pytest.raises(ValueError):
             vf.fit_report("close", "ols", model, train, test, ())
 
+    @pytest.mark.parametrize("index", [3.9, 3.0, True, "3"])
+    def test_excluded_index_must_be_an_integer(self, index):
+        rng = np.random.default_rng(28)
+        table, train, test, model = self._fitted(50, 30, rng)
+        with pytest.raises(ValueError, match="excluded indices must be integers"):
+            vf.fit_report("trend", "ols", model, train, test, (2, index))
+
     def test_document_round_trip(self):
         rng = np.random.default_rng(29)
         table, train, test, model = self._fitted(50, 30, rng)
@@ -323,6 +330,13 @@ class TestCoefficientTable:
         model = self._single_model(1.0, 0.5, 1.5)
         with pytest.raises(ValueError):
             vf.export_coefficient_table({"prices": model})
+
+    @pytest.mark.parametrize("names", [(), ("trend", "bogus")], ids=["empty", "unknown"])
+    def test_both_writers_refuse_the_same_models(self, names):
+        models = {name: self._single_model(1.0, 0.5, 1.5) for name in names}
+        for writer in (vf.export_coefficient_table, vf.coefficient_table_csv):
+            with pytest.raises(ValueError, match="no models|unknown series name"):
+                writer(models)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(FormatError):

@@ -60,6 +60,13 @@ class TestTermSet:
         with pytest.raises(ValueError):
             vf.TermSet(((-1, 0),))
 
+    @pytest.mark.parametrize("pair", [(2.9, 1), (2.0, 1), (0, "1"), (True, 0),
+                                      (1, False), (np.int64(1), 0)])
+    def test_exponent_that_is_not_an_int_rejected(self, pair):
+        # rejected, not truncated: int() would read these as exponents
+        with pytest.raises(ValueError, match="non-negative integers"):
+            vf.TermSet(((0, 0), pair))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             vf.TermSet(())
@@ -266,6 +273,16 @@ class TestFitLar:
         assert model.converged
         r = table.target - vf.evaluate_surface(model, table.x, table.y)
         assert np.max(np.abs(r)) < 1e-12
+
+    def test_interpolating_start_with_spare_rows_gets_point_bounds(self):
+        # n > p, and the ordinary start fits every row exactly: SSE is 0
+        table = make_table([0.25, 0.5, 0.75, 1.0], [1.0] * 4, [1.5, 2.0, 2.5, 3.0])
+        model = vf.fit_lar(table, LINE)
+        assert model.coefficients == (1.0, 2.0)
+        assert model.bounds == ((1.0, 1.0), (2.0, 2.0))
+        assert model.sigma == 0.0
+        assert model.iterations == 0
+        assert model.converged
 
 
 def _abs_sum(table, terms, coefficients) -> float:
@@ -631,6 +648,34 @@ class TestFitBisquare:
         model = vf.fit_bisquare(table, LINE)
         assert model.iterations == 0
         assert model.converged
+
+    @staticmethod
+    def _line_with_outliers(shifts):
+        """Nine rows on 1 + 2x, rows 1, 4 and 7 shifted by ``shifts``."""
+        x = np.arange(1, 10) / 8
+        target = 1.0 + 2.0 * x
+        target[[1, 4, 7]] += shifts
+        return make_table(x, np.ones(9), target)
+
+    def _end_residuals(self, table, model):
+        X = vf.design_matrix(table, LINE)
+        assert model.bounds == _t_bounds(X, np.ones(len(table)), model.sigma,
+                                         model.coefficients, 0.95)
+        return table.target - X @ np.array(model.coefficients)
+
+    def test_zero_mad_ending_has_unweighted_bounds(self):
+        table = self._line_with_outliers([-8.0, -1.0, -1.0])
+        model = vf.fit_bisquare(table, LINE)
+        assert model.iterations > 0 and model.converged
+        assert surface._mad_sigma(self._end_residuals(table, model)) == 0.0
+
+    def test_too_few_weighted_rows_give_unweighted_bounds(self):
+        table = self._line_with_outliers([1.0, 2.0, 3.0])
+        model = vf.fit_bisquare(table, LINE)
+        assert model.iterations > 0 and not model.converged
+        r = self._end_residuals(table, model)
+        u = r / (surface.BISQUARE_CONSTANT * surface._mad_sigma(r))
+        assert np.count_nonzero(vf.bisquare_weights(u)) < len(LINE)
 
 
 class TestConfidenceBounds:
