@@ -271,8 +271,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _negative_coordinates_as_positionals(argv: list[str]) -> list[str]:
+    """``predict``'s arguments with ``--`` put before the first one that
+    starts with ``-`` and reads as a float, since argparse reads ``-1e-3``
+    and ``-inf`` as options.  Other commands, and arguments that already
+    hold ``--``, ``-h`` or ``--help``, are returned unchanged."""
+    if argv[:1] != ["predict"] or {"--", "-h", "--help"} & set(argv):
+        return argv
+    for i, arg in enumerate(argv):
+        if arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                return argv
+            return argv[:i] + ["--"] + argv[i:]
+    return argv
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_negative_coordinates_as_positionals(argv))
     try:
         return args.func(args)
     except (VolfitError, OSError, ValueError) as exc:

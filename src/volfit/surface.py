@@ -10,17 +10,23 @@ Tukey bisquare runs iteratively reweighted least squares.  Least-squares
 solves go through a pivoted QR factorization rather than normal
 equations.
 
-scipy's LAPACK wrappers and ``scipy.special`` are imported by the
-functions that fit and bound a surface, not at module level, so that
-evaluating a saved model loads numpy only.
+scipy is loaded by the first fit, not at module level, so that evaluating
+a saved model loads numpy only.  The fits need two of scipy's compiled
+modules: ``scipy.linalg._flapack`` for the LAPACK routines and
+``scipy.special._ufuncs`` for the Student-t quantile.  They are loaded
+without the ``scipy.linalg`` and ``scipy.special`` packages around them
+(see ``_scipy_extension``).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
+import importlib.util
 import json
 import math
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,17 +232,65 @@ def evaluate_surface(model: PolySurfaceModel, x, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _scipy_extension(package: str, name: str):
+    """The compiled module ``scipy.<package>.<name>``, loaded without running
+    ``scipy/<package>/__init__.py``, which imports about a hundred modules
+    (numpy's ``f2py``, ``ma`` and ``testing`` among them) that the compiled
+    module does not need.
+
+    If ``scipy.<package>`` is already imported, the module is imported the
+    usual way.  Otherwise a stand-in module carrying the package's real
+    ``__path__`` sits in ``sys.modules`` during the import.  A later
+    ``import scipy.<package>`` binds the very same objects, though it does
+    not set ``<name>`` as an attribute of the package.  The stand-in
+    depends on scipy's file layout (the module lives in the package's
+    directory and needs nothing from its ``__init__``); callers fall back
+    to the public imports on ImportError or AttributeError.  It is not
+    thread-safe while it sits in ``sys.modules``: another thread importing
+    ``scipy.<package>`` would get it.  volfit is single-threaded.
+    """
+    parent = f"scipy.{package}"
+    if parent in sys.modules:
+        return importlib.import_module(f"{parent}.{name}")
+    stand_in = types.ModuleType(parent)
+    stand_in.__path__ = importlib.util.find_spec(parent).submodule_search_locations
+    sys.modules[parent] = stand_in
+    try:
+        return importlib.import_module(f"{parent}.{name}")
+    finally:
+        if sys.modules.get(parent) is stand_in:
+            del sys.modules[parent]
+
+
 @functools.cache
 def _lapack():
     """The float64 LAPACK routines volfit calls, fetched on first use.
 
     geqp3, orgqr and trtrs serve the least-squares solves; getrf and getrs
-    the square basis solves of the LAR vertex.
+    the square basis solves of the LAR vertex.  They are the objects
+    ``scipy.linalg.lapack.get_lapack_funcs`` returns, taken from
+    ``scipy.linalg._flapack`` directly.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
+    names = ("geqp3", "orgqr", "trtrs", "getrf", "getrs")
+    try:
+        flapack = _scipy_extension("linalg", "_flapack")
+        return tuple(getattr(flapack, "d" + name) for name in names)
+    except (ImportError, AttributeError):
+        from scipy.linalg.lapack import get_lapack_funcs
 
-    return get_lapack_funcs(("geqp3", "orgqr", "trtrs", "getrf", "getrs"),
-                            dtype=np.float64)
+        return tuple(get_lapack_funcs(names, dtype=np.float64))
+
+
+@functools.cache
+def _stdtrit():
+    """``scipy.special.stdtrit``, the Student-t quantile, fetched on first use
+    from ``scipy.special._ufuncs``."""
+    try:
+        return _scipy_extension("special", "_ufuncs").stdtrit
+    except (ImportError, AttributeError):
+        from scipy.special import stdtrit
+
+        return stdtrit
 
 
 @functools.lru_cache(maxsize=256)
@@ -362,8 +416,6 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray | None, sigma: float,
     Every fit passes through here, so every fit raises ValueError unless
     0 < level < 1.
     """
-    from scipy.special import stdtrit
-
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     n, p = X.shape
@@ -379,7 +431,7 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray | None, sigma: float,
     variance = np.empty(p)
     variance[piv] = np.diag(rinv @ rinv.T)
     se = sigma * np.sqrt(np.maximum(variance, 0.0))
-    tq = float(stdtrit(n - p, 0.5 + level / 2.0))
+    tq = float(_stdtrit()(n - p, 0.5 + level / 2.0))
     return tuple(
         (float(c - tq * s), float(c + tq * s))
         for c, s in zip(coefficients, se)

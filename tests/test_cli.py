@@ -4,6 +4,7 @@ import datetime as dt
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,6 +291,30 @@ class TestPredictCommand:
         assert captured.out == ""
         assert f"{name} must be finite" in captured.err
 
+    @pytest.mark.parametrize("x,y,expected", [
+        ("0.5", "-1e-3", 1.0 - 1e-3), ("-1e-3", "0.5", 1.0 - 1e-3),
+        ("-0.5", "-2E0", 3.0), ("3", "-4", -23.0),
+    ])
+    def test_negative_coordinates_in_any_spelling(self, tmp_path, capsys, x, y, expected):
+        doc = tmp_path / "model.json"
+        self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
+        assert run_cli("predict", doc, x, y) == 0
+        assert capsys.readouterr().out.strip() == f"{expected:#.6g}"
+
+    def test_negative_infinity_is_a_coordinate_not_an_option(self, tmp_path, capsys):
+        doc = tmp_path / "model.json"
+        self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
+        assert run_cli("predict", doc, "0.5", "-inf") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "y must be finite" in captured.err
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("predict", "-h")
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: volfit predict")
+
     def test_infinite_threshold_still_accepted(self, workspace):
         rc = run_cli(
             "fit", "--input", workspace / "prices.csv",
@@ -445,3 +470,69 @@ class TestProcessEntryPoint:
         )
         assert "volfit.cli" in modules
         assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+    @staticmethod
+    def _command_code(command, workspace):
+        """Code running ``volfit <command>`` on the workspace into ``out``."""
+        argv = [command, "--input", str(workspace / "prices.csv"),
+                "--config", str(workspace / "volfit.cfg"),
+                "--out-dir", str(workspace / "out")]
+        return f"import volfit.cli\nassert volfit.cli.main({argv!r}) == 0\n"
+
+    def test_decompose_loads_no_scipy(self, workspace):
+        modules = self._fresh_modules(self._command_code("decompose", workspace))
+        assert (workspace / "out" / "decomposition.csv").exists()
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
+
+    def test_fit_loads_scipy_extensions_not_their_packages(self, workspace):
+        modules = self._fresh_modules(self._command_code("fit", workspace))
+        rc = run_cli("fit", "--input", workspace / "prices.csv",
+                     "--config", workspace / "volfit.cfg",
+                     "--out-dir", workspace / "in-process")
+        assert rc == 0
+        assert sorted(p.name for p in (workspace / "out").iterdir()) == FIT_ARTIFACTS
+        for name in FIT_ARTIFACTS:
+            fresh = (workspace / "out" / name).read_bytes()
+            assert fresh == (workspace / "in-process" / name).read_bytes(), name
+        for package in ("scipy.linalg", "scipy.special", "scipy._lib._array_api",
+                        "numpy.f2py"):
+            assert package not in modules
+        assert {"scipy.linalg._flapack", "scipy.special._ufuncs"} <= modules
+        assert len([m for m in modules if m.startswith("scipy.")]) <= 20
+
+    def test_later_public_imports_bind_the_loaded_routines(self, workspace):
+        self._fresh_modules(self._command_code("fit", workspace) + (
+            "import scipy.linalg.lapack, scipy.special\n"
+            "from volfit import surface\n"
+            "assert surface._lapack()[0] is scipy.linalg.lapack.dgeqp3\n"
+            "assert surface._stdtrit() is scipy.special.stdtrit\n"
+        ))
+
+    def test_refused_direct_load_falls_back_to_public_routines(self):
+        # the public imports are import statements, which do not go
+        # through importlib.import_module
+        self._fresh_modules(textwrap.dedent("""
+            import importlib, sys
+            import numpy as np
+            from volfit import surface
+            EXTENSIONS = ("scipy.linalg._flapack", "scipy.special._ufuncs")
+            refused, import_module = [], importlib.import_module
+            def refuse(name, package=None):
+                if name in EXTENSIONS:
+                    refused.append(name)
+                    raise ImportError(f"{name} refused")
+                return import_module(name, package)
+            importlib.import_module = refuse
+            surface._lapack.cache_clear()
+            surface._stdtrit.cache_clear()
+            routines, stdtrit = surface._lapack(), surface._stdtrit()
+            assert tuple(refused) == EXTENSIONS, refused
+            import scipy.linalg.lapack, scipy.special
+            # the stand-ins are gone: the packages are the real ones
+            assert sys.modules["scipy.linalg"].__file__
+            assert sys.modules["scipy.special"].__file__
+            names = ("geqp3", "orgqr", "trtrs", "getrf", "getrs")
+            assert routines == tuple(scipy.linalg.lapack.get_lapack_funcs(
+                names, dtype=np.float64))
+            assert stdtrit is scipy.special.stdtrit
+        """))
