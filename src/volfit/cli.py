@@ -98,8 +98,10 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
     try:
         for name, text in artifacts.items():
             path = out_dir / name
-            path.write_text(text, encoding="utf-8", newline="\n")
+            # listed before the write: a write that fails part way
+            # through leaves a partial file, which must go too
             written.append(path)
+            path.write_text(text, encoding="utf-8", newline="\n")
     except OSError:
         for path in written:
             path.unlink(missing_ok=True)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver and its artifacts."""
 
 import datetime as dt
+import errno
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import volfit as vf
 from volfit import surface
-from volfit.cli import export_plot_data, main, run_pipeline
+from volfit.cli import _write_artifacts, export_plot_data, main, run_pipeline
 
 from helpers import planted_table
 
@@ -241,6 +242,26 @@ class TestFitCommand:
         )
         assert rc == 0
         assert (target / "coefficients.csv").exists()
+
+    def test_write_failing_part_way_leaves_no_file(self, tmp_path, monkeypatch):
+        # the second of three artifacts writes 5 characters, then the disk is full
+        write_text, names = Path.write_text, []
+
+        def full_disk(path, text, *args, **kwargs):
+            names.append(path.name)
+            if len(names) == 2:
+                write_text(path, text[:5], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        out = tmp_path / "out"
+        with pytest.raises(OSError) as excinfo:
+            _write_artifacts(out, {"a.txt": "alpha", "b.txt": "bravo bravo",
+                                   "c.txt": "charlie"})
+        assert excinfo.value.errno == errno.ENOSPC
+        assert names == ["a.txt", "b.txt"]
+        assert list(out.iterdir()) == []
 
 
 class TestPredictCommand:

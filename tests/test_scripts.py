@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -59,6 +60,24 @@ def test_artifacts_keep_their_pinned_bytes(bundled_hash_lines):
                     f"not numpy {np.__version__} and scipy {scipy.__version__}")
     assert bundled_hash_lines == [line for line in text.splitlines()
                                   if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_artifact_bytes_do_not_depend_on_blas_threads(threads):
+    # numpy's BLAS and the p x p LAPACK solves run on this many threads, the
+    # QR factorizations on one; the pinned hashes hold for any count
+    text = PINNED_HASHES.read_text()
+    pinned = re.search(r"^# numpy (\S+) scipy (\S+)$", text, re.MULTILINE).groups()
+    if pinned != (np.__version__, scipy.__version__):
+        pytest.skip(f"hashes pinned under numpy {pinned[0]} and scipy {pinned[1]}, "
+                    f"not numpy {np.__version__} and scipy {scipy.__version__}")
+    proc = subprocess.run(
+        [sys.executable, "scripts/artifact_hashes.py", BUNDLED], cwd=ROOT,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == [line for line in text.splitlines()
+                                        if not line.startswith("#")]
 
 
 def test_fit_paths_records_every_fit_of_an_op():

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -998,6 +999,109 @@ class TestSolveSpellings:
         _qr_solve(X, z, terms, w)
         _t_bounds(X, w, 0.5, (0.0,) * p, 0.95)
         assert (X.tobytes(), z.tobytes(), w.tobytes()) == before
+
+
+def _blas_threads() -> int:
+    """The thread count of the OpenBLAS scipy links, read through its setter."""
+    set_threads = surface._blas_thread_setter()
+    count = set_threads(1)
+    set_threads(count)
+    return count
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Two threads for the test (one thread would hide a scope left unclosed),
+    then the count the process had."""
+    set_threads = surface._blas_thread_setter()
+    previous = set_threads(2)
+    yield
+    set_threads(previous)
+
+
+needs_thread_setter = pytest.mark.skipif(
+    surface._blas_thread_setter() is surface._keep_thread_count,
+    reason="the BLAS scipy links has no openblas_set_num_threads_local")
+
+
+def _unloadable(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+def _without_setter(path):
+    """A loaded library without the setter: looking it up raises AttributeError."""
+    return types.SimpleNamespace()
+
+
+# p = 11 on 2000 rows: the size of the fits' trend surface, where OpenBLAS
+# splits its calls among threads
+BLAS_TABLE = _heavy_tailed_table(vf.DEFAULT_TERM_SETS["trend"], 71, 2000)
+
+
+class TestBlasThreads:
+    """geqp3 and orgqr run on one OpenBLAS thread; the count is restored."""
+
+    @needs_thread_setter
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_factorizations_run_on_one_thread(self, method, monkeypatch,
+                                              two_blas_threads):
+        geqp3, orgqr, *others = surface._lapack()
+        seen = []
+
+        def reading(name, routine):
+            def call(*args, **kwargs):
+                seen.append((name, _blas_threads()))
+                return routine(*args, **kwargs)
+            return call
+
+        routines = (reading("geqp3", geqp3), reading("orgqr", orgqr), *others)
+        monkeypatch.setattr(surface, "_lapack", lambda: routines)
+        getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
+        assert {name for name, _ in seen} == {"geqp3", "orgqr"}
+        assert {count for _, count in seen} == {1}
+        assert _blas_threads() == 2
+
+    @needs_thread_setter
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_fit_restores_the_count(self, method, two_blas_threads):
+        getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
+        assert _blas_threads() == 2
+
+    @needs_thread_setter
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_rank_deficient_fit_restores_the_count(self, method, two_blas_threads):
+        # constant y makes the columns y^0, y^1, y^2 collinear
+        table = make_table(
+            np.linspace(0.1, 1, 30), np.full(30, 2.0), np.linspace(0, 1, 30))
+        with pytest.raises(RankError):
+            getattr(vf, f"fit_{method}")(table, vf.TermSet(((0, 0), (0, 1), (0, 2))))
+        assert _blas_threads() == 2
+
+    @needs_thread_setter
+    def test_failing_routine_restores_the_count(self, two_blas_threads):
+        def failing(*args, **kwargs):
+            raise RuntimeError("routine failed")
+
+        with pytest.raises(RuntimeError, match="routine failed"):
+            surface._with_workspace(failing, np.zeros((3, 2)))
+        assert _blas_threads() == 2
+
+    @pytest.mark.parametrize("cdll", [_unloadable, _without_setter],
+                             ids=["OSError", "AttributeError"])
+    def test_fits_without_the_setter_keep_their_bits(self, cdll, monkeypatch,
+                                                     two_blas_threads):
+        terms = vf.DEFAULT_TERM_SETS["trend"]
+        expect = [vf.model_to_document(getattr(vf, f"fit_{m}")(BLAS_TABLE, terms))
+                  for m in vf.FIT_METHODS]
+        monkeypatch.setattr(surface.ctypes, "CDLL", cdll)
+        surface._blas_thread_setter.cache_clear()
+        try:
+            assert surface._blas_thread_setter() is surface._keep_thread_count
+            got = [vf.model_to_document(getattr(vf, f"fit_{m}")(BLAS_TABLE, terms))
+                   for m in vf.FIT_METHODS]
+        finally:
+            surface._blas_thread_setter.cache_clear()
+        assert got == expect
 
 
 class TestEvaluateSurface:
