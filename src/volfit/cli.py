@@ -173,7 +173,10 @@ def _cmd_predict(args) -> int:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     model = sf.model_from_document(Path(args.model).read_text(encoding="utf-8"))
-    value = sf.evaluate_surface(model, args.x, args.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sf.evaluate_surface(model, args.x, args.y)
+    if not math.isfinite(value):
+        raise ValueError(f"the surface is not finite at ({args.x!r}, {args.y!r})")
     print(f"{value:#.6g}")
     return 0
 

@@ -10,14 +10,13 @@ Tukey bisquare runs iteratively reweighted least squares.  Least-squares
 solves go through a pivoted QR factorization rather than normal
 equations.
 
-scipy is loaded by the first fit, not at module level, so that evaluating
-a saved model loads numpy only.  The fits need two of scipy's compiled
-modules: ``scipy.linalg._flapack`` for the LAPACK routines and
-``scipy.special._ufuncs`` for the Student-t quantile.  They are loaded
-without the ``scipy.linalg`` and ``scipy.special`` packages around them
-(see ``_scipy_extension``).  The QR factorizations run on one thread of
-the OpenBLAS that ``_flapack`` links, when that library can be told so
-(see ``_with_workspace``); numpy's own BLAS is left alone.
+Everything the fits take from scipy comes from ``_scipy()``, loaded by the
+first fit, so that evaluating a saved model loads numpy only: the LAPACK
+routines of ``scipy.linalg._flapack``, the Student-t quantile of
+``scipy.special._ufuncs`` (both loaded without their packages) and the
+thread setter of the OpenBLAS that ``_flapack`` links.  The QR
+factorizations run on one thread of that OpenBLAS, when it can be told
+so (see ``_with_workspace``); numpy's own BLAS is left alone.
 """
 
 from __future__ import annotations
@@ -266,67 +265,52 @@ def _scipy_extension(package: str, name: str):
 
 
 @functools.cache
-def _lapack():
-    """The float64 LAPACK routines volfit calls, fetched on first use.
+def _scipy():
+    """Everything the fits take from scipy, loaded by the first fit.
 
-    geqp3, orgqr and trtrs serve the least-squares solves; getrf and getrs
-    the square basis solves of the LAR vertex.  They are the objects
-    ``scipy.linalg.lapack.get_lapack_funcs`` returns, taken from
-    ``scipy.linalg._flapack`` directly.
+    ``geqp3``, ``orgqr`` and ``trtrs`` serve the least-squares solves, and
+    ``getrf`` and ``getrs`` the square basis solves of the LAR vertex: the
+    float64 routines ``scipy.linalg.lapack.get_lapack_funcs`` returns,
+    taken from ``scipy.linalg._flapack``.  ``stdtrit`` is
+    ``scipy.special.stdtrit``, the Student-t quantile, taken from
+    ``scipy.special._ufuncs``.  Each extension falls back to its public
+    import on its own.
+
+    ``set_threads`` is ``openblas_set_num_threads_local`` of the OpenBLAS
+    that ``_flapack`` links: it sets the thread count and returns the
+    previous one.  It is looked up on the extension's own handle, whose
+    symbol search covers the libraries it links, so no library file is
+    named.  Where that BLAS has no such function (MKL, Accelerate, OpenBLAS
+    before 0.3.27) ``set_threads`` returns its argument and changes nothing.
     """
     names = ("geqp3", "orgqr", "trtrs", "getrf", "getrs")
     try:
         flapack = _scipy_extension("linalg", "_flapack")
-        return tuple(getattr(flapack, "d" + name) for name in names)
+        routines = [getattr(flapack, "d" + name) for name in names]
     except (ImportError, AttributeError):
         from scipy.linalg.lapack import get_lapack_funcs
 
-        return tuple(get_lapack_funcs(names, dtype=np.float64))
-
-
-@functools.cache
-def _stdtrit():
-    """``scipy.special.stdtrit``, the Student-t quantile, fetched on first use
-    from ``scipy.special._ufuncs``."""
+        routines = get_lapack_funcs(names, dtype=np.float64)
     try:
-        return _scipy_extension("special", "_ufuncs").stdtrit
+        stdtrit = _scipy_extension("special", "_ufuncs").stdtrit
     except (ImportError, AttributeError):
         from scipy.special import stdtrit
-
-        return stdtrit
+    try:
+        set_threads = ctypes.CDLL(
+            sys.modules["scipy.linalg._flapack"].__file__
+        ).openblas_set_num_threads_local
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+    except (OSError, AttributeError):
+        def set_threads(count: int) -> int:
+            return count
+    return types.SimpleNamespace(**dict(zip(names, routines)), stdtrit=stdtrit,
+                                 set_threads=set_threads)
 
 
 @functools.lru_cache(maxsize=256)
 def _lwork(routine, *shapes) -> int:
     """The workspace size LAPACK asks for to run ``routine`` on these shapes."""
     return int(routine(*map(np.zeros, shapes), lwork=-1)[-2][0])
-
-
-def _keep_thread_count(count: int) -> int:
-    """The thread setter of a BLAS that has none: it changes nothing."""
-    return count
-
-
-@functools.cache
-def _blas_thread_setter():
-    """``openblas_set_num_threads_local`` of the OpenBLAS that scipy's LAPACK
-    links: it sets the thread count and returns the previous one.
-
-    Looked up on the ``_flapack`` extension's own handle, whose symbol
-    search covers the libraries it links, so no library file is named.
-    Where that BLAS has no such function (MKL, Accelerate, OpenBLAS before
-    0.3.27) it is ``_keep_thread_count``, and the count is never changed.
-    """
-    _lapack()
-    try:
-        setter = ctypes.CDLL(
-            sys.modules["scipy.linalg._flapack"].__file__
-        ).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return _keep_thread_count
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
 
 
 def _with_workspace(routine, *args, **kwargs):
@@ -336,16 +320,16 @@ def _with_workspace(routine, *args, **kwargs):
     This is scipy's ``safecall``, with its ``lwork=-1`` query, which reads
     the shapes only, made once per shape: the workspace size sets LAPACK's
     blocking and so the result's bits.  geqp3 and orgqr, the only routines
-    called here, run on one thread of scipy's OpenBLAS: at volfit's sizes
-    (about 2000 x 11) a solve then takes about 40% less time, and the bits
-    do not depend on the count, since OpenBLAS splits each BLAS call by
-    output rows or columns, never along a sum.  The previous count is
-    restored in a ``finally``.  OpenBLAS's "local" setter writes the count
-    for the whole process (as of 0.3.31), so any other thread's calls into
-    that OpenBLAS also run on one thread while a factorization runs;
-    volfit is single-threaded.
+    called here, run on one thread of scipy's OpenBLAS, set through
+    ``_scipy().set_threads``: at volfit's sizes (about 2000 x 11) a solve
+    then takes about 40% less time, and the bits do not depend on the
+    count, since OpenBLAS splits each BLAS call by output rows or columns,
+    never along a sum.  The previous count is restored in a ``finally``.
+    OpenBLAS's "local" setter writes the count for the whole process (as
+    of 0.3.31), so any other thread's calls into that OpenBLAS also run
+    on one thread while a factorization runs; volfit is single-threaded.
     """
-    set_threads = _blas_thread_setter()
+    set_threads = _scipy().set_threads
     previous = set_threads(1)
     try:
         lwork = _lwork(routine, *(a.shape for a in args))
@@ -378,7 +362,7 @@ def _pivoted_qr(X: np.ndarray, sw: np.ndarray | None = None):
     if sw is not None:
         a *= sw[:, None]
     _require_finite(a)
-    qr, pivot, tau = _with_workspace(_lapack()[0], a, overwrite_a=1)
+    qr, pivot, tau = _with_workspace(_scipy().geqp3, a, overwrite_a=1)
     pivot -= 1
     # an explicit copy: orgqr overwrites qr, and for p = 1 the slice is
     # already contiguous, so np.ascontiguousarray would return a view
@@ -394,7 +378,7 @@ def _r_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     The call ``scipy.linalg.solve_triangular`` makes for a C-ordered R;
     the entries below the diagonal are never read.
     """
-    x, _ = _lapack()[2](r.T, b, lower=1, trans=1)
+    x, _ = _scipy().trtrs(r.T, b, lower=1, trans=1)
     return x
 
 
@@ -418,7 +402,7 @@ def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet,
             + ", ".join(dependent),
             columns=dependent,
         )
-    q, = _with_workspace(_lapack()[1], qr, tau, overwrite_a=1)
+    q, = _with_workspace(_scipy().orgqr, qr, tau, overwrite_a=1)
     qtz = q.T @ (z if sw is None else z * sw)
     _require_finite(qtz)
     beta = np.empty(p)
@@ -475,7 +459,7 @@ def _t_bounds(X: np.ndarray, weights: np.ndarray | None, sigma: float,
     variance = np.empty(p)
     variance[piv] = np.diag(rinv @ rinv.T)
     se = sigma * np.sqrt(np.maximum(variance, 0.0))
-    tq = float(_stdtrit()(n - p, 0.5 + level / 2.0))
+    tq = float(_scipy().stdtrit(n - p, 0.5 + level / 2.0))
     return tuple(
         (float(c - tq * s), float(c + tq * s))
         for c, s in zip(coefficients, se)
@@ -607,7 +591,7 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
     a nearly collinear design can give though its QR has full rank; a
     basis that rounding leaves singular ends the walk at the vertex before.
     """
-    getrf, getrs = _lapack()[3:]
+    getrf, getrs = _scipy().getrf, _scipy().getrs
     n, p = X.shape
     abs_x, abs_y = np.abs(X), np.abs(y)
     rounding = 4 * p * np.finfo(float).eps

@@ -312,6 +312,20 @@ class TestPredictCommand:
         assert captured.out == ""
         assert f"{name} must be finite" in captured.err
 
+    @pytest.mark.parametrize("terms,coefficients", [
+        (((1, 1),), [1.0]),                 # overflows to inf
+        (((2, 0), (0, 2)), [1.0, -1.0]),    # inf - inf is nan
+    ], ids=["inf", "nan"])
+    def test_non_finite_value_at_a_finite_point_exits_2(self, tmp_path, capsys,
+                                                       terms, coefficients):
+        doc = tmp_path / "model.json"
+        self._write_model(doc, vf.TermSet(terms), coefficients)
+        assert run_cli("predict", doc, "1e308", "1e308") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ValueError: the surface is not finite at (1e+308, 1e+308)\n")
+
     @pytest.mark.parametrize("x,y,expected", [
         ("0.5", "-1e-3", 1.0 - 1e-3), ("-1e-3", "0.5", 1.0 - 1e-3),
         ("-0.5", "-2E0", 3.0), ("3", "-4", -23.0),
@@ -525,8 +539,8 @@ class TestProcessEntryPoint:
         self._fresh_modules(self._command_code("fit", workspace) + (
             "import scipy.linalg.lapack, scipy.special\n"
             "from volfit import surface\n"
-            "assert surface._lapack()[0] is scipy.linalg.lapack.dgeqp3\n"
-            "assert surface._stdtrit() is scipy.special.stdtrit\n"
+            "assert surface._scipy().geqp3 is scipy.linalg.lapack.dgeqp3\n"
+            "assert surface._scipy().stdtrit is scipy.special.stdtrit\n"
         ))
 
     def test_refused_direct_load_falls_back_to_public_routines(self):
@@ -544,16 +558,15 @@ class TestProcessEntryPoint:
                     raise ImportError(f"{name} refused")
                 return import_module(name, package)
             importlib.import_module = refuse
-            surface._lapack.cache_clear()
-            surface._stdtrit.cache_clear()
-            routines, stdtrit = surface._lapack(), surface._stdtrit()
+            surface._scipy.cache_clear()
+            lib = surface._scipy()
             assert tuple(refused) == EXTENSIONS, refused
             import scipy.linalg.lapack, scipy.special
             # the stand-ins are gone: the packages are the real ones
             assert sys.modules["scipy.linalg"].__file__
             assert sys.modules["scipy.special"].__file__
             names = ("geqp3", "orgqr", "trtrs", "getrf", "getrs")
-            assert routines == tuple(scipy.linalg.lapack.get_lapack_funcs(
-                names, dtype=np.float64))
-            assert stdtrit is scipy.special.stdtrit
+            assert tuple(getattr(lib, n) for n in names) == tuple(
+                scipy.linalg.lapack.get_lapack_funcs(names, dtype=np.float64))
+            assert lib.stdtrit is scipy.special.stdtrit
         """))

@@ -15,6 +15,7 @@ from volfit.errors import ConfigError, FormatError, OrderError, ParseError
 from volfit.ingest import MISSING_MARKERS, _pick_price_column
 
 BUNDLED = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
+README = Path(__file__).resolve().parent.parent / "README.md"
 SAMPLE = "Date,Close\n2011-01-03,100.0\n2011-01-04,110.0\n"
 
 
@@ -296,6 +297,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="lag"):
             vf.PipelineConfig(lag=0)
         assert vf.load_config("lag = 4\n") == vf.PipelineConfig(lag=4)
+
+    def test_readme_example_config_reads_as_the_defaults(self):
+        block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "price_column" in block and "# " in block
+        assert vf.load_config(block) == vf.PipelineConfig()
 
     @pytest.mark.parametrize("line", [
         "n_train = 1_000", "lag = \u0662", "outlier_threshold = 2_5",

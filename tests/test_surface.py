@@ -951,7 +951,7 @@ class TestSolveSpellings:
 
     @pytest.mark.parametrize("n,p", [(1, 1), (40, 1), (60, 5), (2000, 11), (300, 140)])
     def test_memoised_workspace_equals_a_fresh_query(self, n, p):
-        geqp3, orgqr = surface._lapack()[:2]
+        geqp3, orgqr = surface._scipy().geqp3, surface._scipy().orgqr
         a = np.asfortranarray(np.random.default_rng(p).standard_normal((n, p)))
         tau = np.zeros(min(n, p))
         for _ in range(2):
@@ -1003,7 +1003,7 @@ class TestSolveSpellings:
 
 def _blas_threads() -> int:
     """The thread count of the OpenBLAS scipy links, read through its setter."""
-    set_threads = surface._blas_thread_setter()
+    set_threads = surface._scipy().set_threads
     count = set_threads(1)
     set_threads(count)
     return count
@@ -1013,14 +1013,14 @@ def _blas_threads() -> int:
 def two_blas_threads():
     """Two threads for the test (one thread would hide a scope left unclosed),
     then the count the process had."""
-    set_threads = surface._blas_thread_setter()
+    set_threads = surface._scipy().set_threads
     previous = set_threads(2)
     yield
     set_threads(previous)
 
 
 needs_thread_setter = pytest.mark.skipif(
-    surface._blas_thread_setter() is surface._keep_thread_count,
+    not hasattr(surface._scipy().set_threads, "argtypes"),
     reason="the BLAS scipy links has no openblas_set_num_threads_local")
 
 
@@ -1045,7 +1045,7 @@ class TestBlasThreads:
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
     def test_factorizations_run_on_one_thread(self, method, monkeypatch,
                                               two_blas_threads):
-        geqp3, orgqr, *others = surface._lapack()
+        lib = surface._scipy()
         seen = []
 
         def reading(name, routine):
@@ -1054,8 +1054,10 @@ class TestBlasThreads:
                 return routine(*args, **kwargs)
             return call
 
-        routines = (reading("geqp3", geqp3), reading("orgqr", orgqr), *others)
-        monkeypatch.setattr(surface, "_lapack", lambda: routines)
+        reading_lib = types.SimpleNamespace(**{
+            **vars(lib), "geqp3": reading("geqp3", lib.geqp3),
+            "orgqr": reading("orgqr", lib.orgqr)})
+        monkeypatch.setattr(surface, "_scipy", lambda: reading_lib)
         getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
         assert {name for name, _ in seen} == {"geqp3", "orgqr"}
         assert {count for _, count in seen} == {1}
@@ -1094,13 +1096,13 @@ class TestBlasThreads:
         expect = [vf.model_to_document(getattr(vf, f"fit_{m}")(BLAS_TABLE, terms))
                   for m in vf.FIT_METHODS]
         monkeypatch.setattr(surface.ctypes, "CDLL", cdll)
-        surface._blas_thread_setter.cache_clear()
+        surface._scipy.cache_clear()
         try:
-            assert surface._blas_thread_setter() is surface._keep_thread_count
+            assert not hasattr(surface._scipy().set_threads, "argtypes")
             got = [vf.model_to_document(getattr(vf, f"fit_{m}")(BLAS_TABLE, terms))
                    for m in vf.FIT_METHODS]
         finally:
-            surface._blas_thread_setter.cache_clear()
+            surface._scipy.cache_clear()
         assert got == expect
 
 
