@@ -60,6 +60,9 @@ class FitReport:
             raise ValueError(f"unknown fit method {self.method!r}")
         if not (self.train_rmse >= 0 and self.test_rmse >= 0):
             raise ValueError("RMSE values must be non-negative numbers")
+        object.__setattr__(self, "n_train", _count(self.n_train, "n_train"))
+        object.__setattr__(self, "n_test", _count(self.n_test, "n_test"))
+        object.__setattr__(self, "converged", _flag(self.converged, "converged"))
         excluded = tuple(self.excluded)
         if any(type(t) is bool or not isinstance(t, (int, np.integer))
                for t in excluded):
@@ -147,11 +150,11 @@ def report_from_document(text: str) -> FitReport:
             method=doc["method"],
             train_rmse=_number(doc["train_rmse"], "train_rmse"),
             test_rmse=_number(doc["test_rmse"], "test_rmse"),
-            n_train=_count(doc["n_train"], "n_train"),
-            n_test=_count(doc["n_test"], "n_test"),
+            n_train=doc["n_train"],
+            n_test=doc["n_test"],
             excluded=tuple(_count(t, "excluded index")
                            for t in _list(doc["excluded"], "excluded")),
-            converged=_flag(doc["converged"], "converged"),
+            converged=doc["converged"],
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"report document is malformed: {exc}") from exc

@@ -184,6 +184,14 @@ class PolySurfaceModel:
             raise ValueError(f"unknown fit method {self.method!r}")
         if not (len(self.coefficients) == len(self.term_set) == len(self.bounds)):
             raise ValueError("coefficients, terms, and bounds must align")
+        sigma = self.sigma
+        if (type(sigma) is bool or not isinstance(sigma, (int, float))
+                or not 0.0 <= sigma <= sys.float_info.max):
+            raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
+        object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "n_points", _count(self.n_points, "n_points"))
+        object.__setattr__(self, "iterations", _count(self.iterations, "iterations"))
+        object.__setattr__(self, "converged", _flag(self.converged, "converged"))
         for c, (lo, hi) in zip(self.coefficients, self.bounds):
             if not (lo <= c <= hi):
                 raise ValueError(f"coefficient {c} outside its bounds ({lo}, {hi})")
@@ -214,8 +222,7 @@ def build_feature_table(series, lag: int = 1) -> FeatureTable:
 
 def design_matrix(table: FeatureTable, terms: TermSet) -> np.ndarray:
     """Matrix with entry (i, j) = x_i**m_j * y_i**n_j (0**0 taken as 1)."""
-    columns = [table.x ** m * table.y ** n for m, n in terms.terms]
-    return np.column_stack(columns) if columns else np.empty((len(table), 0))
+    return np.column_stack([table.x ** m * table.y ** n for m, n in terms.terms])
 
 
 def evaluate_surface(model: PolySurfaceModel, x, y):
@@ -434,55 +441,46 @@ def bisquare_weights(u) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
 
 
-def _t_bounds(X: np.ndarray, weights: np.ndarray | None, sigma: float,
-             coefficients, level: float) -> tuple[tuple[float, float], ...]:
-    """Student-t intervals c +- t_{1-(1-level)/2, n-p} * se(c).
-
-    se comes from sigma^2 (X'WX)^-1 with W = diag(weights), or the identity
-    if ``weights`` is None or leaves X rank deficient.  An interpolating
-    fit (n == p) has no residual degrees of freedom and gets point bounds.
-    Every fit passes through here, so every fit raises ValueError unless
-    0 < level < 1.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
-    n, p = X.shape
-    if n == p:
-        return tuple((c, c) for c in coefficients)
-    # the unweighted fallback has the bits of unit weights: X * 1.0 is X
-    r, _, _, piv, rank = _pivoted_qr(X, None if weights is None else np.sqrt(weights))
-    if rank < p and weights is not None:
-        r, _, _, piv, rank = _pivoted_qr(X)
-    if rank < p:
-        raise RankError("design matrix is rank deficient")
-    rinv = _r_solve(r, np.eye(p))
-    variance = np.empty(p)
-    variance[piv] = np.diag(rinv @ rinv.T)
-    se = sigma * np.sqrt(np.maximum(variance, 0.0))
-    tq = float(_scipy().stdtrit(n - p, 0.5 + level / 2.0))
-    return tuple(
-        (float(c - tq * s), float(c + tq * s))
-        for c, s in zip(coefficients, se)
-    )
+def _end_factor(X: np.ndarray, weights: np.ndarray | None, start):
+    """The (R, pivot) factor of sqrt(weights) X; ``start``, the ordinary start's
+    factor of X, where ``weights`` is None or leaves that design rank deficient."""
+    if weights is None:
+        return start
+    r, _, _, piv, rank = _pivoted_qr(X, np.sqrt(weights))
+    return (r, piv) if rank == X.shape[1] else start
 
 
 def _finish_model(method: str, terms: TermSet, X: np.ndarray, beta: np.ndarray,
-                  residuals: np.ndarray, weights: np.ndarray | None,
-                  iterations: int, converged: bool,
+                  residuals: np.ndarray, factor, iterations: int, converged: bool,
                   confidence_level: float) -> PolySurfaceModel:
-    """Assemble the model record: sigma, t-based bounds, bookkeeping.
+    """Assemble the model record: sigma, Student-t bounds, bookkeeping.
 
-    This is the one place bounds are computed, from the fit's final
-    residuals and the row weights it ends with (None: unweighted).
+    The one place bounds are computed: c +- t_{1-(1-level)/2, n-p} se(c),
+    with se from sigma^2 (X'WX)^-1 for the fit's end weights W; ``factor``
+    is the (R, pivot) factor of sqrt(W) X.  An interpolating fit (n == p)
+    has sigma 0 and point bounds.  Every fit raises ValueError here unless
+    0 < level < 1.
     """
+    if not 0.0 < confidence_level < 1.0:
+        raise ValueError(
+            f"confidence level must lie in (0, 1), got {confidence_level!r}")
     n, p = X.shape
     coefficients = tuple(float(b) for b in beta)
-    # an interpolating fit (n == p) has zero residual degrees of freedom
-    sigma = math.sqrt(float(residuals @ residuals) / (n - p)) if n > p else 0.0
+    sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
+    if n > p:
+        sigma = math.sqrt(float(residuals @ residuals) / (n - p))
+        r, piv = factor
+        rinv = _r_solve(r, np.eye(p))
+        variance = np.empty(p)
+        variance[piv] = np.diag(rinv @ rinv.T)
+        se = sigma * np.sqrt(np.maximum(variance, 0.0))
+        tq = float(_scipy().stdtrit(n - p, 0.5 + confidence_level / 2.0))
+        bounds = tuple((float(c - tq * s), float(c + tq * s))
+                       for c, s in zip(coefficients, se))
     return PolySurfaceModel(
         term_set=terms,
         coefficients=coefficients,
-        bounds=_t_bounds(X, weights, sigma, coefficients, confidence_level),
+        bounds=bounds,
         method=method,
         n_points=n,
         sigma=sigma,
@@ -492,15 +490,15 @@ def _finish_model(method: str, terms: TermSet, X: np.ndarray, beta: np.ndarray,
 
 
 def _ols_start(table: FeatureTable, terms: TermSet):
-    """Design matrix and ordinary least-squares solution every fit starts from."""
+    """Design matrix, the least-squares start of every fit and its (R, pivot)."""
     X = design_matrix(table, terms)
     n, p = X.shape
     if n < p:
         raise InsufficientData(
             f"{n} rows cannot determine {p} terms ({', '.join(terms.labels())})"
         )
-    beta, _ = _qr_solve(X, table.target, terms)
-    return X, beta
+    beta, start = _qr_solve(X, table.target, terms)
+    return X, beta, start
 
 
 def fit_ols(table: FeatureTable, terms: TermSet,
@@ -509,9 +507,9 @@ def fit_ols(table: FeatureTable, terms: TermSet,
 
     Minimizes the summed squared residuals; sigma is sqrt(SSE / (n - p)).
     """
-    X, beta = _ols_start(table, terms)
+    X, beta, start = _ols_start(table, terms)
     return _finish_model(
-        "ols", terms, X, beta, table.target - X @ beta, None,
+        "ols", terms, X, beta, table.target - X @ beta, start,
         iterations=0, converged=True, confidence_level=confidence_level,
     )
 
@@ -664,13 +662,13 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     start that interpolates the rows is returned at once, unweighted;
     otherwise the bound weights are 1 / max(|r|, LAR_FLOOR * starting sigma).
     """
-    X, beta = _ols_start(table, terms)
+    X, beta, start = _ols_start(table, terms)
     y = table.target
     residuals = y - X @ beta
     n, p = X.shape
     sse = float(residuals @ residuals)
     if n == p or sse == 0.0:
-        return _finish_model("lar", terms, X, beta, residuals, None, iterations=0,
+        return _finish_model("lar", terms, X, beta, residuals, start, iterations=0,
                              converged=True, confidence_level=confidence_level)
     floor = LAR_FLOOR * math.sqrt(sse / (n - p))
     vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
@@ -679,9 +677,9 @@ def fit_lar(table: FeatureTable, terms: TermSet,
         if np.sum(np.abs(at_vertex)) <= np.sum(np.abs(residuals)):
             beta, residuals = vertex, at_vertex
     weights = 1.0 / np.maximum(np.abs(residuals), floor)
-    return _finish_model("lar", terms, X, beta, residuals, weights,
-                         iterations=exchanges, converged=certified,
-                         confidence_level=confidence_level)
+    return _finish_model(
+        "lar", terms, X, beta, residuals, _end_factor(X, weights, start),
+        iterations=exchanges, converged=certified, confidence_level=confidence_level)
 
 
 def _tukey_weights(residuals: np.ndarray) -> np.ndarray | None:
@@ -702,9 +700,9 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
     all weight.  A zero sigma_mad means the surface already interpolates
     the bulk of the rows and the current iterate is returned as-is, with
     unweighted bounds.  Otherwise the bounds take the final iterate's
-    weights, or none if fewer than p rows keep any weight.
+    weights, or none where they leave the weighted design rank deficient.
     """
-    X, beta = _ols_start(table, terms)
+    X, beta, start = _ols_start(table, terms)
     y = table.target
     n, p = X.shape
     converged, solves = n == p, 0
@@ -723,11 +721,12 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
         beta = candidate
         converged = step <= BISQUARE_TOLERANCE * ref
     residuals = y - X @ beta
-    w = _tukey_weights(residuals)
+    w = _tukey_weights(residuals) if n > p else None
     if w is not None and np.count_nonzero(w) < p:
         w = None
-    return _finish_model("bisquare", terms, X, beta, residuals, w, iterations=solves,
-                         converged=converged, confidence_level=confidence_level)
+    return _finish_model(
+        "bisquare", terms, X, beta, residuals, _end_factor(X, w, start),
+        iterations=solves, converged=converged, confidence_level=confidence_level)
 
 
 def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
@@ -795,10 +794,11 @@ def _plain_number(text: str, kind=float):
 
 
 def _count(value, name: str) -> int:
-    """A JSON non-negative integer; 2.0, 2.7 and true are rejected."""
-    if type(value) is not int or value < 0:
-        raise FormatError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
+    """A non-negative integer, numpy's too, as an int; 2.0, 2.7 and True
+    raise ValueError."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _list(value, name: str) -> list:
@@ -809,18 +809,16 @@ def _list(value, name: str) -> list:
 
 
 def _flag(value, name: str) -> bool:
-    """A JSON boolean; "false", 0 and null are rejected."""
+    """A boolean; "false", 0 and None raise ValueError."""
     if type(value) is not bool:
-        raise FormatError(f"{name} must be true or false, got {value!r}")
+        raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
 
 
 def model_from_document(text: str) -> PolySurfaceModel:
     """Parse a model document; raises FormatError on anything malformed.
 
-    Fields are checked for type and range rather than coerced: ``converged``
-    must be a boolean, ``sigma`` a number >= 0, and ``n_points``,
-    ``iterations`` and the term exponents non-negative integers.
+    Fields are checked for type and range, by the record, rather than coerced.
     """
     try:
         doc = json.loads(text)
@@ -829,22 +827,17 @@ def model_from_document(text: str) -> PolySurfaceModel:
     if not isinstance(doc, dict):
         raise FormatError("model document must be a JSON object")
     try:
-        terms = TermSet(tuple((_count(m, "term exponent"), _count(n, "term exponent"))
-                              for m, n in _list(doc["terms"], "terms")))
-        sigma = _number(doc["sigma"], "sigma")
-        if not sigma >= 0.0:
-            raise FormatError(f"sigma must be >= 0, got {sigma!r}")
         return PolySurfaceModel(
-            term_set=terms,
+            term_set=TermSet(tuple(_list(doc["terms"], "terms"))),
             coefficients=tuple(_number(c, "coefficient")
                                for c in _list(doc["coefficients"], "coefficients")),
             bounds=tuple((_number(lo, "bound"), _number(hi, "bound"))
                          for lo, hi in _list(doc["bounds"], "bounds")),
             method=doc["method"],
-            n_points=_count(doc["n_points"], "n_points"),
-            sigma=sigma,
-            iterations=_count(doc["iterations"], "iterations"),
-            converged=_flag(doc["converged"], "converged"),
+            n_points=doc["n_points"],
+            sigma=_number(doc["sigma"], "sigma"),
+            iterations=doc["iterations"],
+            converged=doc["converged"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model document is malformed: {exc}") from exc

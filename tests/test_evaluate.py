@@ -1,6 +1,7 @@
 """Tests for splits, RMSE, fit reports, and coefficient-table emission."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -189,6 +190,18 @@ class TestFitReport:
         table, train, test, model = self._fitted(50, 30, rng)
         with pytest.raises(ValueError, match="excluded indices must be integers"):
             vf.fit_report("trend", "ols", model, train, test, (2, index))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_train", 2.5),
+        ("n_test", -1),
+        ("converged", "yes"),
+    ])
+    def test_record_refuses_what_its_reader_refuses(self, field, value):
+        rng = np.random.default_rng(28)
+        table, train, test, model = self._fitted(50, 30, rng)
+        report = vf.fit_report("trend", "ols", model, train, test, ())
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(report, **{field: value})
 
     def test_document_round_trip(self):
         rng = np.random.default_rng(29)

@@ -21,7 +21,13 @@ from volfit.errors import (
     InsufficientData,
     RankError,
 )
-from volfit.surface import _l1_vertex, _pivoted_qr, _qr_solve, _t_bounds
+from volfit.surface import (
+    _end_factor,
+    _finish_model,
+    _l1_vertex,
+    _pivoted_qr,
+    _qr_solve,
+)
 
 from helpers import (
     assert_rejected_or_read_back,
@@ -660,8 +666,8 @@ class TestFitBisquare:
 
     def _end_residuals(self, table, model):
         X = vf.design_matrix(table, LINE)
-        assert model.bounds == _t_bounds(X, np.ones(len(table)), model.sigma,
-                                         model.coefficients, 0.95)
+        assert model.bounds == _scipy_t_bounds(X, np.ones(len(table)), model.sigma,
+                                               model.coefficients, 0.95)
         return table.target - X @ np.array(model.coefficients)
 
     def test_zero_mad_ending_has_unweighted_bounds(self):
@@ -677,6 +683,18 @@ class TestFitBisquare:
         r = self._end_residuals(table, model)
         u = r / (surface.BISQUARE_CONSTANT * surface._mad_sigma(r))
         assert np.count_nonzero(vf.bisquare_weights(u)) < len(LINE)
+
+    def test_weighted_rows_on_one_x_give_unweighted_bounds(self):
+        # the eight rows at x = 0.5 keep weight and the four outliers lose
+        # it, so the end-weighted design of 1 and x has rank 1
+        x = np.array([0.1, 0.2] + [0.5] * 8 + [0.8, 0.9])
+        target = 1.0 + 0.01 * np.sin(np.arange(12.0))
+        target[[0, 1, 10, 11]] += [20.0, -20.0, -20.0, 20.0]
+        table = make_table(x, np.ones(12), target)
+        model = vf.fit_bisquare(table, LINE)
+        w = surface._tukey_weights(self._end_residuals(table, model))
+        assert np.count_nonzero(w) >= len(LINE)
+        assert set(x[w > 0]) == {0.5}
 
 
 class TestConfidenceBounds:
@@ -801,6 +819,17 @@ def _scipy_t_bounds(X, weights, sigma, coefficients, level):
     return tuple((float(c - tq * s), float(c + tq * s)) for c, s in zip(coefficients, se))
 
 
+def _fit_bounds(X, weights, coefficients, residuals):
+    """The bounds and sigma ``_finish_model`` records for a fit that ends at
+    these coefficients and residuals with these row weights."""
+    terms = vf.TermSet(tuple((j, 0) for j in range(X.shape[1])))
+    _, start = _qr_solve(X, np.zeros(len(X)), terms)
+    model = _finish_model("ols", terms, X, np.asarray(coefficients), residuals,
+                          _end_factor(X, weights, start), iterations=0,
+                          converged=True, confidence_level=0.95)
+    return model.bounds, model.sigma
+
+
 def _random_design(rng, n, p):
     """Polynomial columns of uneven scale, as the fits see them."""
     x = np.linspace(1.0 / n, 1.0, n)
@@ -836,7 +865,8 @@ class TestQrKernel:
 
     @pytest.mark.parametrize("n,p", SHAPES)
     def test_unit_weights_give_the_unweighted_bits(self, n, p):
-        # the bounds' unweighted fallback relies on this
+        # so the scipy oracle can spell the start's factor, which the bounds
+        # fall back to, as the factor of unit weights
         rng = np.random.default_rng(5000 * n + p)
         X, terms = _random_design(rng, n, p)
         z = X @ rng.standard_normal(p) + rng.standard_normal(n)
@@ -873,9 +903,10 @@ class TestQrKernel:
         X, _ = _random_design(rng, n, p)
         w = rng.uniform(0.0, 2.0, n)
         coefficients = tuple(rng.standard_normal(p))
+        residuals = rng.standard_normal(n)
         for weights in (w, np.ones(n)):
-            expect = _scipy_t_bounds(X, weights, 0.7, coefficients, 0.95)
-            assert _t_bounds(X, weights, 0.7, coefficients, 0.95) == expect
+            bounds, sigma = _fit_bounds(X, weights, coefficients, residuals)
+            assert bounds == _scipy_t_bounds(X, weights, sigma, coefficients, 0.95)
 
     @pytest.mark.parametrize("make", [
         lambda X: np.column_stack([X, X[:, 1]]),
@@ -907,7 +938,7 @@ class TestQrKernel:
         with pytest.raises(ValueError):
             _qr_solve(broken, z, terms)
         with pytest.raises(ValueError):
-            _t_bounds(broken, np.ones(30), 1.0, (0.0,) * p, 0.95)
+            _end_factor(broken, np.ones(30), None)
         z[3] = bad
         with pytest.raises(ValueError):
             _qr_solve(X, z, terms)
@@ -997,7 +1028,7 @@ class TestSolveSpellings:
         w = rng.uniform(0.0, 2.0, 40)
         before = X.tobytes(), z.tobytes(), w.tobytes()
         _qr_solve(X, z, terms, w)
-        _t_bounds(X, w, 0.5, (0.0,) * p, 0.95)
+        _fit_bounds(X, w, np.zeros(p), z)
         assert (X.tobytes(), z.tobytes(), w.tobytes()) == before
 
 
@@ -1104,6 +1135,46 @@ class TestBlasThreads:
         finally:
             surface._scipy.cache_clear()
         assert got == expect
+
+
+class TestFactorizationCount:
+    """A fit factors its design once per solve, and its bounds reuse the
+    start's factorization unless they take weights."""
+
+    TERMS = vf.DEFAULT_TERM_SETS["remainder"]
+    TABLE = _heavy_tailed_table(TERMS, 3, 300)
+
+    @staticmethod
+    def _fit(method, table, terms, monkeypatch):
+        """The fitted model and the number of geqp3 factorizations it made;
+        workspace queries are not counted."""
+        lib = surface._scipy()
+        lworks = []
+
+        def geqp3(*args, lwork, **kwargs):
+            lworks.append(lwork)
+            return lib.geqp3(*args, lwork=lwork, **kwargs)
+
+        counting = types.SimpleNamespace(**{**vars(lib), "geqp3": geqp3})
+        monkeypatch.setattr(surface, "_scipy", lambda: counting)
+        model = getattr(vf, f"fit_{method}")(table, terms)
+        return model, sum(lwork != -1 for lwork in lworks)
+
+    def test_ols_factors_once(self, monkeypatch):
+        assert self._fit("ols", self.TABLE, self.TERMS, monkeypatch)[1] == 1
+
+    def test_lar_factors_its_start_and_its_weighted_design(self, monkeypatch):
+        model, calls = self._fit("lar", self.TABLE, self.TERMS, monkeypatch)
+        assert model.iterations > 0 and calls == 2
+
+    @pytest.mark.parametrize("method", ["lar", "bisquare"])
+    def test_interpolating_fit_factors_once(self, method, monkeypatch):
+        table = self.TABLE.subset(slice(0, len(self.TERMS)))
+        assert self._fit(method, table, self.TERMS, monkeypatch)[1] == 1
+
+    def test_bisquare_factors_each_solve_and_its_weighted_design(self, monkeypatch):
+        model, calls = self._fit("bisquare", self.TABLE, self.TERMS, monkeypatch)
+        assert model.iterations > 0 and calls == 1 + model.iterations + 1
 
 
 class TestEvaluateSurface:
@@ -1229,6 +1300,34 @@ class TestRemoveOutliers:
         model = vf.fit_ols(table, LINE)
         with pytest.raises(ValueError, match="threshold"):
             vf.remove_outliers(table, model, threshold)
+
+
+class TestModelRecord:
+    """A model refuses at construction what ``model_from_document`` refuses."""
+
+    @staticmethod
+    def _model(**fields):
+        return vf.PolySurfaceModel(**{
+            "term_set": LINE, "coefficients": (1.0, 2.0),
+            "bounds": ((0.5, 1.5), (1.5, 2.5)), "method": "ols", "n_points": 5,
+            "sigma": 0.25, "iterations": 0, "converged": True, **fields})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_points", 2.5),
+        ("n_points", -3),
+        ("iterations", True),
+        ("converged", "no"),
+        ("sigma", -1.0),
+        ("sigma", math.nan),
+    ])
+    def test_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._model(**{field: value})
+
+    def test_numpy_count_is_stored_as_int(self):
+        model = self._model(n_points=np.int64(5))
+        assert type(model.n_points) is int
+        assert vf.model_from_document(vf.model_to_document(model)) == model
 
 
 class TestModelDocuments:
