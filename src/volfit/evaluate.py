@@ -7,7 +7,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -19,10 +19,12 @@ from .surface import (
     FeatureTable,
     PolySurfaceModel,
     _count,
+    _exponent,
     _flag,
     _list,
     _number,
     _plain_number,
+    _scale,
     evaluate_surface,
 )
 
@@ -41,7 +43,8 @@ class FitReport:
     """Per-series summary of one fit: both RMSE modes plus bookkeeping.
 
     train_rmse is degrees-of-freedom normalized, sqrt(SSE / (n - p));
-    test_rmse is the plain quadratic mean, sqrt(SSE / n).
+    test_rmse is the plain quadratic mean, sqrt(SSE / n).  Construction
+    checks every field (ValueError) and stores each number as a float.
     """
 
     series_name: str
@@ -58,16 +61,17 @@ class FitReport:
             raise ValueError(f"unknown series name {self.series_name!r}")
         if self.method not in FIT_METHODS:
             raise ValueError(f"unknown fit method {self.method!r}")
-        if not (self.train_rmse >= 0 and self.test_rmse >= 0):
-            raise ValueError("RMSE values must be non-negative numbers")
+        object.__setattr__(self, "train_rmse", _scale(self.train_rmse, "train_rmse"))
+        object.__setattr__(self, "test_rmse", _scale(self.test_rmse, "test_rmse"))
         object.__setattr__(self, "n_train", _count(self.n_train, "n_train"))
         object.__setattr__(self, "n_test", _count(self.n_test, "n_test"))
         object.__setattr__(self, "converged", _flag(self.converged, "converged"))
-        excluded = tuple(self.excluded)
-        if any(type(t) is bool or not isinstance(t, (int, np.integer))
-               for t in excluded):
-            raise ValueError(f"excluded indices must be integers, got {excluded!r}")
-        object.__setattr__(self, "excluded", tuple(map(int, excluded)))
+        try:
+            excluded = tuple([_count(t, "excluded index") for t in self.excluded])
+        except (TypeError, ValueError):
+            raise ValueError(f"excluded indices must be integers >= 0, "
+                             f"got {self.excluded!r}") from None
+        object.__setattr__(self, "excluded", excluded)
 
 
 def split_train_test(table: FeatureTable, n_train: int):
@@ -123,39 +127,26 @@ def fit_report(series_name: str, method: str, model: PolySurfaceModel,
     )
 
 
+# The report document's keys, in the order it writes them
+_REPORT_FIELDS = tuple(f.name for f in fields(FitReport))
+
+
 def report_to_document(report: FitReport) -> str:
-    doc = {
-        "series_name": report.series_name,
-        "method": report.method,
-        "train_rmse": report.train_rmse,
-        "test_rmse": report.test_rmse,
-        "n_train": report.n_train,
-        "n_test": report.n_test,
-        "excluded": list(report.excluded),
-        "converged": report.converged,
-    }
+    doc = {name: getattr(report, name) for name in _REPORT_FIELDS}
     return json.dumps(doc, indent=2) + "\n"
 
 
 def report_from_document(text: str) -> FitReport:
     """Parse a report document; raises FormatError on anything malformed.
 
-    Fields are checked for type and range rather than coerced, as in
-    ``model_from_document``.
+    The record checks every field's type and range rather than coerce it,
+    as in ``model_from_document``; this reader parses the JSON and checks
+    that ``excluded`` is an array.
     """
     try:
         doc = json.loads(text)
-        return FitReport(
-            series_name=doc["series_name"],
-            method=doc["method"],
-            train_rmse=_number(doc["train_rmse"], "train_rmse"),
-            test_rmse=_number(doc["test_rmse"], "test_rmse"),
-            n_train=doc["n_train"],
-            n_test=doc["n_test"],
-            excluded=tuple(_count(t, "excluded index")
-                           for t in _list(doc["excluded"], "excluded")),
-            converged=doc["converged"],
-        )
+        _list(doc["excluded"], "excluded")
+        return FitReport(**{name: doc[name] for name in _REPORT_FIELDS})
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"report document is malformed: {exc}") from exc
 
@@ -189,45 +180,30 @@ def export_coefficient_table(models: Mapping[str, PolySurfaceModel]) -> str:
     R); columns are the n exponents; terms a surface does not use stay
     blank.
     """
-    order = _series_order(models)
-    all_terms = [mod.term_set.terms for mod in models.values()]
-    ms = sorted({m for terms in all_terms for m, _ in terms})
-    ns = sorted({n for terms in all_terms for _, n in terms})
+    cells = {}
+    for name in _series_order(models):
+        model = models[name]
+        cells[name] = {term: _format_cell(c, lo, hi) for term, c, (lo, hi)
+                       in zip(model.term_set.terms, model.coefficients, model.bounds)}
+    ms = sorted({m for terms in cells.values() for m, _ in terms})
+    ns = sorted({n for terms in cells.values() for _, n in terms})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["m", "series"] + [f"n={n}" for n in ns])
     for m in ms:
-        for name in order:
-            model = models[name]
-            positions = {term: j for j, term in enumerate(model.term_set.terms)}
-            row = [str(m), SERIES_LETTERS[name]]
-            for n in ns:
-                j = positions.get((m, n))
-                if j is None:
-                    row.append("")
-                else:
-                    row.append(
-                        _format_cell(model.coefficients[j], *model.bounds[j])
-                    )
-            writer.writerow(row)
+        for name, terms in cells.items():
+            writer.writerow([str(m), SERIES_LETTERS[name]]
+                            + [terms.get((m, n), "") for n in ns])
     return buf.getvalue()
-
-
-def _table_exponent(text: str) -> int:
-    """A coefficient-table exponent: a non-negative integer in plain digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise FormatError(f"exponent must be a non-negative integer, got {text!r}")
-    return int(text)
 
 
 def _table_number(text: str) -> float:
     """One of a coefficient cell's numbers: a finite float in ASCII, no ``_``."""
     try:
-        value = _plain_number(text)
-    except ValueError:
+        return _number(_plain_number(text), "coefficient table entry")
+    except ValueError as exc:
         raise FormatError(
-            f"cannot parse number {text!r} in a coefficient cell") from None
-    return _number(value, "coefficient table entry")
+            f"cannot parse number {text!r} in a coefficient cell: {exc}") from None
 
 
 def parse_coefficient_table(text: str):
@@ -245,14 +221,14 @@ def parse_coefficient_table(text: str):
     header = rows[0]
     if not all(cell.startswith("n=") for cell in header[2:]):
         raise FormatError(f"bad coefficient table header {header!r}")
-    ns = [_table_exponent(cell[2:]) for cell in header[2:]]
+    ns = [_exponent(cell[2:], FormatError) for cell in header[2:]]
     out: dict[str, dict[tuple[int, int], tuple[float, float, float]]] = {}
     for row in rows[1:]:
         if not row:
             continue
         if len(row) < 2 or row[1] not in _LETTER_SERIES or len(row) > len(header):
             raise FormatError(f"bad coefficient table row {row!r}")
-        m, series = _table_exponent(row[0]), _LETTER_SERIES[row[1]]
+        m, series = _exponent(row[0], FormatError), _LETTER_SERIES[row[1]]
         for n, cell in zip(ns, row[2:]):
             if not cell:
                 continue

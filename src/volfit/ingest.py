@@ -17,6 +17,8 @@ from .surface import (
     FIT_METHODS,
     SERIES_NAMES,
     TermSet,
+    _count,
+    _number,
     _plain_number,
 )
 
@@ -56,7 +58,8 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything the pipeline needs beyond the price file itself."""
+    """Everything the pipeline needs beyond the price file itself; a value it
+    cannot use (a float count, a string or bool number) raises ConfigError."""
 
     price_column: str | None = None
     kz_trend: tuple[int, int] = (365, 3)
@@ -71,24 +74,33 @@ class PipelineConfig:
     confidence_level: float = 0.95
 
     def __post_init__(self):
-        for window, iters in (self.kz_trend, self.kz_seasonal):
-            if window < 3 or window % 2 == 0:
-                raise ConfigError(f"window must be odd and >= 3, got {window}")
-            if iters < 1:
-                raise ConfigError(f"iterations must be >= 1, got {iters}")
-        if self.n_train <= 0:
-            raise ConfigError(f"n_train must be positive, got {self.n_train}")
-        if self.lag < 1:
-            raise ConfigError(f"lag must be >= 1, got {self.lag}")
-        if self.fit_method not in FIT_METHODS:
-            raise ConfigError(f"fit_method must be one of {FIT_METHODS}")
-        if not 0.0 < self.confidence_level < 1.0:
-            raise ConfigError("confidence_level must lie in (0, 1)")
+        try:
+            for window, iters in (self.kz_trend, self.kz_seasonal):
+                if _count(window, "window") < 3 or window % 2 == 0:
+                    raise ConfigError(f"window must be odd and >= 3, got {window}")
+                if _count(iters, "iterations") < 1:
+                    raise ConfigError(f"iterations must be >= 1, got {iters}")
+            if _count(self.n_train, "n_train") <= 0:
+                raise ConfigError(f"n_train must be positive, got {self.n_train}")
+            if _count(self.lag, "lag") < 1:
+                raise ConfigError(f"lag must be >= 1, got {self.lag}")
+            if self.fit_method not in FIT_METHODS:
+                raise ConfigError(f"fit_method must be one of {FIT_METHODS}")
+            if not 0.0 < _number(self.confidence_level, "confidence_level") < 1.0:
+                raise ConfigError("confidence_level must lie in (0, 1)")
+            # an infinite threshold is allowed: it excludes no row
+            if self.outlier_threshold != math.inf:
+                _number(self.outlier_threshold, "outlier_threshold")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.outlier_threshold > 0:
             raise ConfigError("outlier_threshold must be > 0")
         for name, terms in self.term_sets.items():
             if name not in SERIES_NAMES:
                 raise ConfigError(f"unknown series {name!r} in term sets")
+            if not isinstance(terms, TermSet):
+                raise ConfigError(
+                    f"term_sets[{name!r}] must be a TermSet, got {terms!r}")
             if self.n_train < len(terms):
                 raise ConfigError(
                     f"n_train={self.n_train} is below the {len(terms)} terms "

@@ -93,16 +93,11 @@ class TermSet:
         Exponents are plain ASCII digits, with spaces allowed around them.
         """
         pairs = []
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            m_part, sep, n_part = chunk.partition(":")
-            parts = (m_part.strip(), n_part.strip())
-            if not (sep and all(e.isascii() and e.isdigit() for e in parts)):
-                raise ValueError(f"term {chunk!r} is not of the form m:n "
-                                 "with non-negative integer exponents")
-            pairs.append(tuple(map(int, parts)))
+        for chunk in filter(None, map(str.strip, text.split(","))):
+            parts = chunk.split(":")
+            if len(parts) != 2:
+                raise ValueError(f"term {chunk!r} is not of the form m:n")
+            pairs.append(tuple(_exponent(e.strip(), ValueError) for e in parts))
         return cls(tuple(pairs))
 
 
@@ -167,7 +162,8 @@ class PolySurfaceModel:
     LAR reports False also when the cap is hit on an optimal vertex, whose
     certificate is then not tested (see ``fit_lar``).  The fit computes the
     bounds; every field is written to the model document, and reading the
-    document back gives the model bit for bit.
+    document back gives the model bit for bit.  Construction checks every
+    field (ValueError) and stores each number as a float.
     """
 
     term_set: TermSet
@@ -182,19 +178,24 @@ class PolySurfaceModel:
     def __post_init__(self):
         if self.method not in FIT_METHODS:
             raise ValueError(f"unknown fit method {self.method!r}")
-        if not (len(self.coefficients) == len(self.term_set) == len(self.bounds)):
-            raise ValueError("coefficients, terms, and bounds must align")
-        sigma = self.sigma
-        if (type(sigma) is bool or not isinstance(sigma, (int, float))
-                or not 0.0 <= sigma <= sys.float_info.max):
-            raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
-        object.__setattr__(self, "sigma", float(sigma))
+        try:
+            coefficients = tuple([_number(c, "coefficient") for c in self.coefficients])
+            bounds = tuple([(_number(lo, "bound"), _number(hi, "bound"))
+                            for lo, hi in self.bounds])
+        except TypeError as exc:
+            raise ValueError(f"coefficients and bounds must be arrays: {exc}") from None
+        if not (isinstance(self.term_set, TermSet)
+                and len(coefficients) == len(self.term_set) == len(bounds)):
+            raise ValueError("coefficients, bounds and a TermSet of terms must align")
+        for c, (lo, hi) in zip(coefficients, bounds):
+            if not (lo <= c <= hi):
+                raise ValueError(f"coefficient {c} outside its bounds ({lo}, {hi})")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "sigma", _scale(self.sigma, "sigma"))
         object.__setattr__(self, "n_points", _count(self.n_points, "n_points"))
         object.__setattr__(self, "iterations", _count(self.iterations, "iterations"))
         object.__setattr__(self, "converged", _flag(self.converged, "converged"))
-        for c, (lo, hi) in zip(self.coefficients, self.bounds):
-            if not (lo <= c <= hi):
-                raise ValueError(f"coefficient {c} outside its bounds ({lo}, {hi})")
 
 
 def build_feature_table(series, lag: int = 1) -> FeatureTable:
@@ -774,12 +775,20 @@ def model_to_document(model: PolySurfaceModel) -> str:
 
 
 def _number(value, name: str) -> float:
-    """A finite JSON number as a float; booleans, strings and null are rejected."""
+    """A finite int or float, numpy's too, as a float; anything else is a ValueError."""
     if type(value) is float and math.isfinite(value):
         return value
-    if type(value) is int and abs(value) <= sys.float_info.max:
+    if (type(value) is not bool and isinstance(value, (int, np.integer, np.floating))
+            and abs(value) <= sys.float_info.max):
         return float(value)
-    raise FormatError(f"{name} must be a finite number, got {value!r}")
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _scale(value, name: str) -> float:
+    """A residual scale (sigma, an RMSE): a finite number >= 0, as a float."""
+    if _number(value, name) >= 0:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _plain_number(text: str, kind=float):
@@ -791,6 +800,13 @@ def _plain_number(text: str, kind=float):
     if "_" in text or not text.isascii():
         raise ValueError(f"not a plain number: {text!r}")
     return kind(text)
+
+
+def _exponent(text: str, error) -> int:
+    """A term exponent in plain ASCII digits as an int; raises ``error`` otherwise."""
+    if not (text.isascii() and text.isdigit()):
+        raise error(f"exponent must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _count(value, name: str) -> int:
@@ -818,26 +834,20 @@ def _flag(value, name: str) -> bool:
 def model_from_document(text: str) -> PolySurfaceModel:
     """Parse a model document; raises FormatError on anything malformed.
 
-    Fields are checked for type and range, by the record, rather than coerced.
+    The records check every field's type and range rather than coerce it;
+    this reader parses the JSON and checks that the arrays are arrays.
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"model document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("model document must be a JSON object")
-    try:
         return PolySurfaceModel(
             term_set=TermSet(tuple(_list(doc["terms"], "terms"))),
-            coefficients=tuple(_number(c, "coefficient")
-                               for c in _list(doc["coefficients"], "coefficients")),
-            bounds=tuple((_number(lo, "bound"), _number(hi, "bound"))
-                         for lo, hi in _list(doc["bounds"], "bounds")),
+            coefficients=_list(doc["coefficients"], "coefficients"),
+            bounds=_list(doc["bounds"], "bounds"),
             method=doc["method"],
             n_points=doc["n_points"],
-            sigma=_number(doc["sigma"], "sigma"),
+            sigma=doc["sigma"],
             iterations=doc["iterations"],
             converged=doc["converged"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"model document is malformed: {exc}") from exc

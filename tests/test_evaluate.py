@@ -370,6 +370,24 @@ class TestCoefficientTable:
         with pytest.raises(FormatError, match="cannot parse number"):
             vf.parse_coefficient_table(f'm,series,n=0\n0,V,"{cell}"\n')
 
+    @pytest.mark.parametrize("text", [
+        "0", "7", "12", "007", "", "-1", "+1", "1_0", "\u0663", "\uff11", "1.0",
+        "0x1", "1e2", "1 0",
+    ])
+    def test_table_and_term_list_read_exponents_alike(self, text):
+        # the term list also allows spaces around an exponent; a table cell not
+        def read(parse, error):
+            try:
+                return parse()
+            except error:
+                return None
+        from_terms = read(lambda: vf.TermSet.parse(f"0:{text}").terms[0][1], ValueError)
+        table = f'm,series,n={text}\n0,V,"1.0 (0.5, 1.5)"\n'
+        from_table = read(
+            lambda: [*vf.parse_coefficient_table(table)["volatility"]][0][1],
+            FormatError)
+        assert from_terms == from_table
+
     @pytest.mark.parametrize("cell,expected", [
         ("+1.0 (-1e0, 2E+0)", (1.0, -1.0, 2.0)),
         ("-2.5e-3 (-.5, 1.)", (-2.5e-3, -0.5, 1.0)),

@@ -371,6 +371,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="outlier_threshold"):
             vf.PipelineConfig(outlier_threshold=float(value))
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("n_train", 2000.0, "n_train"),
+        ("lag", 1.0, "lag"),
+        ("kz_trend", (365.0, 3), "window"),
+        ("kz_seasonal", (15, 5.0), "iterations"),
+        ("term_sets", {**vf.DEFAULT_TERM_SETS, "trend": "0:0,1:0"}, "term_sets"),
+        ("outlier_threshold", True, "outlier_threshold"),
+        ("confidence_level", "0.9", "confidence_level"),
+    ])
+    def test_config_refuses_what_the_pipeline_cannot_use(self, field, value, named):
+        # each of these used to construct, then fail inside run_pipeline
+        # with TypeError, IndexError or AttributeError, or (True) run as 1.0
+        with pytest.raises(ConfigError, match=named):
+            vf.PipelineConfig(**{field: value})
+
+    def test_numpy_counts_and_numbers_accepted(self):
+        config = vf.PipelineConfig(n_train=np.int64(500), lag=np.int64(2),
+                                   kz_trend=(np.int64(101), 2),
+                                   confidence_level=np.float64(0.9))
+        assert config.n_train == 500 and config.confidence_level == 0.9
+
 
 FULL_CONFIG = {
     "price_column": "Close", "kz_trend_window": "101", "kz_trend_iters": "2",
