@@ -75,11 +75,14 @@ class FitReport:
 
 
 def split_train_test(table: FeatureTable, n_train: int):
-    """First n_train rows (chronological order) for training, rest for test."""
-    if not 0 < n_train < len(table):
-        raise SplitError(
-            f"n_train must lie strictly between 0 and {len(table)}, got {n_train}"
-        )
+    """First n_train rows (chronological order) for training, rest for test;
+    SplitError unless n_train is an integer (numpy's too) in (0, len(table))."""
+    try:
+        if not 0 < _count(n_train, "n_train") < len(table):
+            raise ValueError(
+                f"n_train must lie strictly between 0 and {len(table)}, got {n_train}")
+    except ValueError as exc:
+        raise SplitError(str(exc)) from None
     return table.subset(slice(0, n_train)), table.subset(slice(n_train, None))
 
 
@@ -114,7 +117,10 @@ def rmse(model: PolySurfaceModel, table: FeatureTable, mode: str) -> float:
 def fit_report(series_name: str, method: str, model: PolySurfaceModel,
                train: FeatureTable, test: FeatureTable,
                excluded: tuple[int, ...]) -> FitReport:
-    """Assemble the per-series report for a model fitted on the train table."""
+    """Assemble the per-series report for a model fitted on the train table;
+    ValueError if ``method`` is not the model's."""
+    if method != model.method:
+        raise ValueError(f"a {model.method} model cannot be reported as {method!r}")
     return FitReport(
         series_name=series_name,
         method=method,

@@ -59,7 +59,8 @@ class PriceSeries:
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything the pipeline needs beyond the price file itself; a value it
-    cannot use (a float count, a string or bool number) raises ConfigError."""
+    cannot use (a float count, a string or bool number, a non-string price
+    column, a term-set list) raises ConfigError naming its field."""
 
     price_column: str | None = None
     kz_trend: tuple[int, int] = (365, 3)
@@ -74,12 +75,20 @@ class PipelineConfig:
     confidence_level: float = 0.95
 
     def __post_init__(self):
+        if not (self.price_column is None or isinstance(self.price_column, str)):
+            raise ConfigError(
+                f"price_column must be a string or None, got {self.price_column!r}")
         try:
-            for window, iters in (self.kz_trend, self.kz_seasonal):
-                if _count(window, "window") < 3 or window % 2 == 0:
-                    raise ConfigError(f"window must be odd and >= 3, got {window}")
-                if _count(iters, "iterations") < 1:
-                    raise ConfigError(f"iterations must be >= 1, got {iters}")
+            for name in ("kz_trend", "kz_seasonal"):
+                try:
+                    window, iters = getattr(self, name)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{name} must be a (window, iterations) pair, "
+                                      f"got {getattr(self, name)!r}") from None
+                if _count(window, f"{name} window") < 3 or window % 2 == 0:
+                    raise ConfigError(f"{name} window must be odd and >= 3, got {window}")
+                if _count(iters, f"{name} iterations") < 1:
+                    raise ConfigError(f"{name} iterations must be >= 1, got {iters}")
             if _count(self.n_train, "n_train") <= 0:
                 raise ConfigError(f"n_train must be positive, got {self.n_train}")
             if _count(self.lag, "lag") < 1:
@@ -95,6 +104,8 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from exc
         if not self.outlier_threshold > 0:
             raise ConfigError("outlier_threshold must be > 0")
+        if not isinstance(self.term_sets, Mapping):
+            raise ConfigError(f"term_sets must be a mapping, got {self.term_sets!r}")
         for name, terms in self.term_sets.items():
             if name not in SERIES_NAMES:
                 raise ConfigError(f"unknown series {name!r} in term sets")

@@ -4,11 +4,12 @@ A surface is a sparse polynomial ``f(x, y) = sum_j c_j * x**m_j * y**n_j``
 over a configured list of exponent pairs.  Feature tables pair a scaled
 time index with a lagged series value, so a fitted surface predicts the
 current value of a series from when it is observed and where it recently
-was.  Both robust variants start from the ordinary solution: least
-absolute residuals walks to a certified L1 vertex by basis exchange, and
-Tukey bisquare runs iteratively reweighted least squares.  Least-squares
-solves go through a pivoted QR factorization rather than normal
-equations.
+was.  Every fit runs through ``_fit``, which builds the design, solves
+the ordinary start, hands it to the method's walk and computes the bounds
+and the record; OLS keeps the start, least absolute residuals walks to a
+certified L1 vertex by basis exchange, and Tukey bisquare runs iteratively
+reweighted least squares.  Least-squares solves go through a pivoted QR
+factorization rather than normal equations.
 
 Everything the fits take from scipy comes from ``_scipy()``, loaded by the
 first fit, so that evaluating a saved model loads numpy only: the LAPACK
@@ -33,12 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ExclusionError,
-    FormatError,
-    InsufficientData,
-    RankError,
-)
+from .errors import ExclusionError, FormatError, InsufficientData, RankError
 
 FIT_METHODS = ("ols", "lar", "bisquare")
 SERIES_NAMES = ("volatility", "trend", "seasonal", "remainder")
@@ -204,8 +200,10 @@ def build_feature_table(series, lag: int = 1) -> FeatureTable:
     Row t (1-based) is ``x = t / T, y = series[t - lag], target = series[t]``:
     the scaled time index in (0, 1] and the value ``lag`` steps earlier.
     Rows touching a missing value are dropped and the surviving targets'
-    indices are kept as provenance.  Raises ValueError for lag < 1.
+    indices are kept as provenance.  Raises ValueError unless lag is an
+    integer (numpy's too) >= 1.
     """
+    lag = _count(lag, "lag")
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
     values = np.asarray(series, dtype=float)
@@ -442,35 +440,42 @@ def bisquare_weights(u) -> np.ndarray:
     return np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
 
 
-def _end_factor(X: np.ndarray, weights: np.ndarray | None, start):
-    """The (R, pivot) factor of sqrt(weights) X; ``start``, the ordinary start's
-    factor of X, where ``weights`` is None or leaves that design rank deficient."""
-    if weights is None:
-        return start
-    r, _, _, piv, rank = _pivoted_qr(X, np.sqrt(weights))
-    return (r, piv) if rank == X.shape[1] else start
+def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: float,
+         walk) -> PolySurfaceModel:
+    """The one fit path: the design, the start, the method's walk, the record.
 
-
-def _finish_model(method: str, terms: TermSet, X: np.ndarray, beta: np.ndarray,
-                  residuals: np.ndarray, factor, iterations: int, converged: bool,
-                  confidence_level: float) -> PolySurfaceModel:
-    """Assemble the model record: sigma, Student-t bounds, bookkeeping.
-
+    The start is the least-squares solution of the design by pivoted QR
+    (RankError for a rank-deficient design).  ``walk(X, y, beta, terms)``
+    takes it to the method's coefficients and returns ``(beta, iterations,
+    converged, weights)``, with the end weights W its bounds take or None.
     The one place bounds are computed: c +- t_{1-(1-level)/2, n-p} se(c),
-    with se from sigma^2 (X'WX)^-1 for the fit's end weights W; ``factor``
-    is the (R, pivot) factor of sqrt(W) X.  An interpolating fit (n == p)
-    has sigma 0 and point bounds.  Every fit raises ValueError here unless
-    0 < level < 1.
+    with sigma = sqrt(SSE / (n - p)) over the unweighted residuals and se
+    from sigma^2 (X'WX)^-1, factored as sqrt(W) X, or as the start's X where
+    W is None or leaves that design rank deficient.  An interpolating fit
+    (n == p) has sigma 0 and point bounds.  Raises InsufficientData for
+    n < p, and ValueError after the walk unless 0 < level < 1.
     """
+    X = design_matrix(table, terms)
+    n, p = X.shape
+    if n < p:
+        raise InsufficientData(
+            f"{n} rows cannot determine {p} terms ({', '.join(terms.labels())})"
+        )
+    y = table.target
+    beta, (r, piv) = _qr_solve(X, y, terms)
+    beta, iterations, converged, weights = walk(X, y, beta, terms)
     if not 0.0 < confidence_level < 1.0:
         raise ValueError(
             f"confidence level must lie in (0, 1), got {confidence_level!r}")
-    n, p = X.shape
     coefficients = tuple(float(b) for b in beta)
     sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
     if n > p:
+        residuals = y - X @ beta
         sigma = math.sqrt(float(residuals @ residuals) / (n - p))
-        r, piv = factor
+        if weights is not None:
+            r_w, _, _, piv_w, rank = _pivoted_qr(X, np.sqrt(weights))
+            if rank == p:
+                r, piv = r_w, piv_w
         rinv = _r_solve(r, np.eye(p))
         variance = np.empty(p)
         variance[piv] = np.diag(rinv @ rinv.T)
@@ -479,40 +484,18 @@ def _finish_model(method: str, terms: TermSet, X: np.ndarray, beta: np.ndarray,
         bounds = tuple((float(c - tq * s), float(c + tq * s))
                        for c, s in zip(coefficients, se))
     return PolySurfaceModel(
-        term_set=terms,
-        coefficients=coefficients,
-        bounds=bounds,
-        method=method,
-        n_points=n,
-        sigma=sigma,
-        iterations=iterations,
-        converged=converged,
-    )
-
-
-def _ols_start(table: FeatureTable, terms: TermSet):
-    """Design matrix, the least-squares start of every fit and its (R, pivot)."""
-    X = design_matrix(table, terms)
-    n, p = X.shape
-    if n < p:
-        raise InsufficientData(
-            f"{n} rows cannot determine {p} terms ({', '.join(terms.labels())})"
-        )
-    beta, start = _qr_solve(X, table.target, terms)
-    return X, beta, start
+        term_set=terms, coefficients=coefficients, bounds=bounds, method=method,
+        n_points=n, sigma=sigma, iterations=iterations, converged=converged)
 
 
 def fit_ols(table: FeatureTable, terms: TermSet,
             confidence_level: float = 0.95) -> PolySurfaceModel:
-    """Ordinary least squares via pivoted QR.
+    """Ordinary least squares via pivoted QR: ``_fit``'s start, unweighted.
 
     Minimizes the summed squared residuals; sigma is sqrt(SSE / (n - p)).
     """
-    X, beta, start = _ols_start(table, terms)
-    return _finish_model(
-        "ols", terms, X, beta, table.target - X @ beta, start,
-        iterations=0, converged=True, confidence_level=confidence_level,
-    )
+    return _fit("ols", table, terms, confidence_level,
+                lambda X, y, beta, terms: (beta, 0, True, None))
 
 
 def _stable_prefix(keys: np.ndarray, size: int) -> np.ndarray:
@@ -647,11 +630,27 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
         basis.sort()
 
 
+def _lar_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
+    """``fit_lar``'s walk from the start to the better of it and the vertex."""
+    residuals = y - X @ beta
+    n, p = X.shape
+    sse = float(residuals @ residuals)
+    if n == p or sse == 0.0:
+        return beta, 0, True, None
+    floor = LAR_FLOOR * math.sqrt(sse / (n - p))
+    vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
+    if vertex is not None:
+        at_vertex = y - X @ vertex
+        if np.sum(np.abs(at_vertex)) <= np.sum(np.abs(residuals)):
+            beta, residuals = vertex, at_vertex
+    return beta, exchanges, certified, 1.0 / np.maximum(np.abs(residuals), floor)
+
+
 def fit_lar(table: FeatureTable, terms: TermSet,
             confidence_level: float = 0.95) -> PolySurfaceModel:
     """Least absolute residuals: argmin sum|r_i| at a certified L1 vertex.
 
-    Starts from the ordinary solution and exchanges basis rows until the
+    Walks from ``_fit``'s ordinary start, exchanging basis rows until the
     vertex carries the optimality certificate (``converged=True``);
     ``iterations`` counts the exchanges, at most ``LAR_MAX_EXCHANGES``.
     ``converged=False`` says no certificate test passed, not that the fit
@@ -663,24 +662,7 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     start that interpolates the rows is returned at once, unweighted;
     otherwise the bound weights are 1 / max(|r|, LAR_FLOOR * starting sigma).
     """
-    X, beta, start = _ols_start(table, terms)
-    y = table.target
-    residuals = y - X @ beta
-    n, p = X.shape
-    sse = float(residuals @ residuals)
-    if n == p or sse == 0.0:
-        return _finish_model("lar", terms, X, beta, residuals, start, iterations=0,
-                             converged=True, confidence_level=confidence_level)
-    floor = LAR_FLOOR * math.sqrt(sse / (n - p))
-    vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
-    if vertex is not None:
-        at_vertex = y - X @ vertex
-        if np.sum(np.abs(at_vertex)) <= np.sum(np.abs(residuals)):
-            beta, residuals = vertex, at_vertex
-    weights = 1.0 / np.maximum(np.abs(residuals), floor)
-    return _finish_model(
-        "lar", terms, X, beta, residuals, _end_factor(X, weights, start),
-        iterations=exchanges, converged=certified, confidence_level=confidence_level)
+    return _fit("lar", table, terms, confidence_level, _lar_walk)
 
 
 def _tukey_weights(residuals: np.ndarray) -> np.ndarray | None:
@@ -691,20 +673,8 @@ def _tukey_weights(residuals: np.ndarray) -> np.ndarray | None:
     return bisquare_weights(residuals / (BISQUARE_CONSTANT * scale))
 
 
-def fit_bisquare(table: FeatureTable, terms: TermSet,
-                 confidence_level: float = 0.95) -> PolySurfaceModel:
-    """Tukey bisquare IRLS: w = (1 - u**2)**2 inside |u| < 1, else 0.
-
-    u = r / (c * sigma_mad) with c = BISQUARE_CONSTANT and sigma_mad the
-    median absolute deviation of the residuals about their median over
-    0.6745, recomputed every iteration; points far from the surface lose
-    all weight.  A zero sigma_mad means the surface already interpolates
-    the bulk of the rows and the current iterate is returned as-is, with
-    unweighted bounds.  Otherwise the bounds take the final iterate's
-    weights, or none where they leave the weighted design rank deficient.
-    """
-    X, beta, start = _ols_start(table, terms)
-    y = table.target
+def _bisquare_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
+    """``fit_bisquare``'s reweighted solves, ending with the last iterate's weights."""
     n, p = X.shape
     converged, solves = n == p, 0
     while not converged and solves < BISQUARE_MAX_SOLVES:
@@ -721,13 +691,24 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
         ref = max(float(np.max(np.abs(candidate))), np.finfo(float).tiny)
         beta = candidate
         converged = step <= BISQUARE_TOLERANCE * ref
-    residuals = y - X @ beta
-    w = _tukey_weights(residuals) if n > p else None
-    if w is not None and np.count_nonzero(w) < p:
-        w = None
-    return _finish_model(
-        "bisquare", terms, X, beta, residuals, _end_factor(X, w, start),
-        iterations=solves, converged=converged, confidence_level=confidence_level)
+    return beta, solves, converged, _tukey_weights(y - X @ beta)
+
+
+def fit_bisquare(table: FeatureTable, terms: TermSet,
+                 confidence_level: float = 0.95) -> PolySurfaceModel:
+    """Tukey bisquare IRLS: w = (1 - u**2)**2 inside |u| < 1, else 0.
+
+    Walks from ``_fit``'s ordinary start.  u = r / (c * sigma_mad) with
+    c = BISQUARE_CONSTANT and sigma_mad the median absolute deviation of
+    the residuals about their median over 0.6745, recomputed every
+    iteration; points far from the surface lose all weight.  A zero
+    sigma_mad means the surface already interpolates the bulk of the rows
+    and the current iterate is returned as-is, with unweighted bounds.
+    Otherwise the bounds take the final iterate's weights, or none where
+    they leave the weighted design rank deficient, as fewer than p
+    non-zero weights do.
+    """
+    return _fit("bisquare", table, terms, confidence_level, _bisquare_walk)
 
 
 def remove_outliers(table: FeatureTable, model: PolySurfaceModel,

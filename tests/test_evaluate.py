@@ -64,6 +64,18 @@ class TestSplitTrainTest:
         with pytest.raises(SplitError):
             vf.split_train_test(table, 0)
 
+    @pytest.mark.parametrize("n_train", [20.0, True])
+    def test_n_train_must_be_an_integer(self, n_train):
+        # 20.0 raised TypeError, and True trained on one row
+        table = make_table(np.arange(1, 41) / 40, np.ones(40), np.zeros(40))
+        with pytest.raises(SplitError, match="n_train"):
+            vf.split_train_test(table, n_train)
+
+    def test_numpy_n_train_accepted(self):
+        table = make_table(np.arange(1, 41) / 40, np.ones(40), np.zeros(40))
+        train, test = vf.split_train_test(table, np.int64(20))
+        assert (len(train), len(test)) == (20, 20)
+
     def test_concatenation_reconstructs_table(self):
         rng = np.random.default_rng(22)
         table = planted_table(LINE, [1.0, 2.0], 100, rng, noise=0.3)
@@ -220,6 +232,13 @@ class TestFitReport:
         with pytest.raises(ValueError):
             vf.fit_report("seasonal", "bogus", model, train, test, ())
 
+    @pytest.mark.parametrize("method", ["lar", "bisquare"])
+    def test_method_must_be_the_models(self, method):
+        rng = np.random.default_rng(30)
+        table, train, test, model = self._fitted(50, 30, rng)
+        with pytest.raises(ValueError, match="ols model"):
+            vf.fit_report("seasonal", method, model, train, test, ())
+
     @pytest.mark.parametrize("field, value", [
         ("converged", "false"),
         ("method", "bogus"),
@@ -253,7 +272,7 @@ def _report_documents():
     for name, method, excluded in (("trend", "ols", ()), ("remainder", "lar", (3, 9))):
         table = planted_table(LINE, [1.0, 2.0], 50, rng, noise=0.2)
         train, test = vf.split_train_test(table, 30)
-        model = vf.fit_ols(train, LINE)
+        model = getattr(vf, f"fit_{method}")(train, LINE)
         report = vf.fit_report(name, method, model, train, test, excluded)
         documents.append(vf.report_to_document(report))
     return documents

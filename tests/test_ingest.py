@@ -386,6 +386,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=named):
             vf.PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("term_sets", []),
+        ("term_sets", None),
+        ("price_column", 5),
+        ("price_column", b"Close"),
+        ("kz_trend", 5),
+    ])
+    def test_config_names_the_field_it_refuses(self, field, value):
+        # these raised AttributeError, constructed, or named no field
+        with pytest.raises(ConfigError, match=field):
+            vf.PipelineConfig(**{field: value})
+
     def test_numpy_counts_and_numbers_accepted(self):
         config = vf.PipelineConfig(n_train=np.int64(500), lag=np.int64(2),
                                    kz_trend=(np.int64(101), 2),

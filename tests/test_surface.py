@@ -22,8 +22,6 @@ from volfit.errors import (
     RankError,
 )
 from volfit.surface import (
-    _end_factor,
-    _finish_model,
     _l1_vertex,
     _pivoted_qr,
     _qr_solve,
@@ -90,6 +88,17 @@ class TestBuildFeatureTable:
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
             vf.build_feature_table([1.0, 2.0, 3.0, 4.0], 0)
+
+    @pytest.mark.parametrize("lag", [1.5, np.float64(2.0), True, "2"])
+    def test_lag_must_be_an_integer(self, lag):
+        # these raised IndexError or TypeError, or (True) ran as lag 1
+        with pytest.raises(ValueError, match="lag"):
+            vf.build_feature_table([1.0, 2.0, 3.0, 4.0], lag)
+
+    def test_numpy_lag_accepted(self):
+        series = [1.0, 2.0, 3.0, 4.0]
+        assert (vf.build_feature_table(series, np.int64(2)).provenance.tolist()
+                == vf.build_feature_table(series, 2).provenance.tolist() == [3, 4])
 
     def test_default_mapping(self):
         table = vf.build_feature_table([1.0, 2.0, 3.0, 4.0])
@@ -696,6 +705,29 @@ class TestFitBisquare:
         assert np.count_nonzero(w) >= len(LINE)
         assert set(x[w > 0]) == {0.5}
 
+    @pytest.mark.parametrize("text, n, seed", [
+        ("0:0,1:0", 3, 0),
+        ("0:0,0:1,1:0", 4, 49),
+        ("0:0,0:1,1:0", 5, 27),
+        ("0:0,0:1,0:2,1:0,1:1", 6, 1),
+        ("0:0,0:1,0:2,1:0,1:1", 7, 63),
+        ("0:0,0:1,0:2,1:0,1:1,1:2,2:0,2:1,3:0", 13, 18),
+    ])
+    def test_small_table_with_too_few_weighted_rows(self, text, n, seed):
+        # p < n < 2p and the end weights keep fewer than p rows: the
+        # end-weighted design is rank deficient, so the bounds are unweighted
+        terms = vf.TermSet.parse(text)
+        rng = np.random.default_rng([seed, n, len(terms)])
+        table = make_table(np.linspace(1 / n, 1, n), rng.uniform(0.5, 2, n),
+                           rng.standard_t(1, n))
+        model = vf.fit_bisquare(table, terms)
+        X = vf.design_matrix(table, terms)
+        w = surface._tukey_weights(table.target - X @ np.array(model.coefficients))
+        assert len(terms) < n < 2 * len(terms)
+        assert np.count_nonzero(w) < len(terms)
+        assert model.bounds == _scipy_t_bounds(X, np.ones(n), model.sigma,
+                                               model.coefficients, 0.95)
+
 
 class TestConfidenceBounds:
     def test_noiseless_fit_has_tiny_intervals(self):
@@ -749,6 +781,17 @@ class TestConfidenceBounds:
         fit = getattr(vf, f"fit_{method}")
         with pytest.raises(ValueError, match="confidence level"):
             fit(table, LINE, confidence_level=level)
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_design_errors_come_before_the_level_check(self, method):
+        # constant y makes the columns y^0, y^1, y^2 collinear
+        fit = getattr(vf, f"fit_{method}")
+        table = make_table(
+            np.linspace(0.1, 1, 30), np.full(30, 2.0), np.linspace(0, 1, 30))
+        with pytest.raises(RankError):
+            fit(table, vf.TermSet(((0, 0), (0, 1), (0, 2))), confidence_level=1.5)
+        with pytest.raises(InsufficientData):
+            fit(table.subset(slice(0, 1)), LINE, confidence_level=1.5)
 
 
 @pytest.mark.parametrize("method", vf.FIT_METHODS)
@@ -819,25 +862,32 @@ def _scipy_t_bounds(X, weights, sigma, coefficients, level):
     return tuple((float(c - tq * s), float(c + tq * s)) for c, s in zip(coefficients, se))
 
 
-def _fit_bounds(X, weights, coefficients, residuals):
-    """The bounds and sigma ``_finish_model`` records for a fit that ends at
-    these coefficients and residuals with these row weights."""
-    terms = vf.TermSet(tuple((j, 0) for j in range(X.shape[1])))
-    _, start = _qr_solve(X, np.zeros(len(X)), terms)
-    model = _finish_model("ols", terms, X, np.asarray(coefficients), residuals,
-                          _end_factor(X, weights, start), iterations=0,
-                          converged=True, confidence_level=0.95)
+def _fit_bounds(table, terms, weights, coefficients, residuals):
+    """The bounds and sigma ``_fit`` records for a fit of the table's design
+    that ends at these coefficients, with these residuals (within rounding)
+    and these row weights."""
+    target = vf.design_matrix(table, terms) @ np.asarray(coefficients) + residuals
+
+    def walk(X, y, beta, terms):
+        return np.asarray(coefficients), 0, True, weights
+
+    model = surface._fit("ols", make_table(table.x, table.y, target), terms, 0.95, walk)
     return model.bounds, model.sigma
 
 
-def _random_design(rng, n, p):
-    """Polynomial columns of uneven scale, as the fits see them."""
+def _random_table(rng, n, p):
+    """Polynomial columns of uneven scale, as the fits see them: rows with
+    zero targets and the terms."""
     x = np.linspace(1.0 / n, 1.0, n)
     y = rng.standard_t(3, n) * 0.01
     terms = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 2),
              (2, 1), (3, 0), (3, 1), (4, 0), (5, 0)][:p]
-    X = np.column_stack([x ** m * y ** k for m, k in terms])
-    return X, vf.TermSet(tuple(terms))
+    return make_table(x, y, np.zeros(n)), vf.TermSet(tuple(terms))
+
+
+def _random_design(rng, n, p):
+    table, terms = _random_table(rng, n, p)
+    return vf.design_matrix(table, terms), terms
 
 
 class TestQrKernel:
@@ -900,12 +950,13 @@ class TestQrKernel:
     @pytest.mark.parametrize("n,p", [(2, 1), (40, 1), (60, 5), (300, 11)])
     def test_bounds_match_scipy_bit_for_bit(self, n, p):
         rng = np.random.default_rng(3000 * n + p)
-        X, _ = _random_design(rng, n, p)
+        table, terms = _random_table(rng, n, p)
+        X = vf.design_matrix(table, terms)
         w = rng.uniform(0.0, 2.0, n)
         coefficients = tuple(rng.standard_normal(p))
         residuals = rng.standard_normal(n)
         for weights in (w, np.ones(n)):
-            bounds, sigma = _fit_bounds(X, weights, coefficients, residuals)
+            bounds, sigma = _fit_bounds(table, terms, weights, coefficients, residuals)
             assert bounds == _scipy_t_bounds(X, weights, sigma, coefficients, 0.95)
 
     @pytest.mark.parametrize("make", [
@@ -938,7 +989,7 @@ class TestQrKernel:
         with pytest.raises(ValueError):
             _qr_solve(broken, z, terms)
         with pytest.raises(ValueError):
-            _end_factor(broken, np.ones(30), None)
+            _pivoted_qr(broken, np.ones(30))
         z[3] = bad
         with pytest.raises(ValueError):
             _qr_solve(X, z, terms)
@@ -1028,7 +1079,7 @@ class TestSolveSpellings:
         w = rng.uniform(0.0, 2.0, 40)
         before = X.tobytes(), z.tobytes(), w.tobytes()
         _qr_solve(X, z, terms, w)
-        _fit_bounds(X, w, np.zeros(p), z)
+        _pivoted_qr(X, np.sqrt(w))
         assert (X.tobytes(), z.tobytes(), w.tobytes()) == before
 
 
