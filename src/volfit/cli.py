@@ -42,16 +42,19 @@ def export_plot_data(model: sf.PolySurfaceModel, table: sf.FeatureTable,
 
     The surface CSV holds grid_density**2 rows (x, y, f(x, y)) spanning the
     table's observed x and y ranges, x-major; the residual CSV holds one
-    (provenance index, residual) row per table row.
+    (provenance index, residual) row per table row.  The grid density is
+    an integer >= 2, numpy's too; anything else raises ValueError.
     """
+    grid_density = sf._count(grid_density, "grid density")
     if grid_density < 2:
         raise ValueError("grid density must be >= 2")
     xs = np.linspace(float(table.x.min()), float(table.x.max()), grid_density)
     ys = np.linspace(float(table.y.min()), float(table.y.max()), grid_density)
-    gx = np.repeat(xs, grid_density)
-    gy = np.tile(ys, grid_density)
-    f = sf.evaluate_surface(model, gx, gy)
-    surface = ev._csv_text("x,y,f", (_reprs(gx), _reprs(gy), _reprs(f)))
+    f = sf.evaluate_surface(model, np.repeat(xs, grid_density), np.tile(ys, grid_density))
+    # each grid coordinate is formatted once, then laid out as its values are
+    x_cells = np.repeat(np.array(_reprs(xs), dtype=object), grid_density)
+    y_cells = np.tile(np.array(_reprs(ys), dtype=object), grid_density)
+    surface = ev._csv_text("x,y,f", (x_cells, y_cells, _reprs(f)))
     residual = ev._csv_text("index,residual", (
         map(str, table.provenance.tolist()),
         _reprs(ev.residuals(model, table)),

@@ -7,6 +7,8 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter, lt
 from typing import Mapping
 
 import numpy as np
@@ -19,10 +21,17 @@ from .surface import (
     TermSet,
     _count,
     _number,
+    _plain,
     _plain_number,
+    _threshold,
 )
 
 MISSING_MARKERS = ("", "null", "NaN")
+
+
+def _increasing(dates: tuple) -> bool:
+    """Whether each date is later than the one before, in one C-level pass."""
+    return all(map(lt, dates, dates[1:]))
 
 
 @dataclass(frozen=True)
@@ -41,9 +50,10 @@ class PriceSeries:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if len(self.dates) != self.values.size or self.values.ndim != 1:
             raise ValueError("dates and values must be equally long 1-d sequences")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise OrderError(f"dates must be strictly increasing, got {prev} then {cur}")
+        if not _increasing(self.dates):
+            prev, cur = next((prev, cur) for prev, cur in zip(self.dates, self.dates[1:])
+                             if not prev < cur)
+            raise OrderError(f"dates must be strictly increasing, got {prev} then {cur}")
         finite_or_nan = np.isfinite(self.values) | np.isnan(self.values)
         if not np.all(finite_or_nan):
             raise ValueError("prices must be finite numbers or missing")
@@ -97,13 +107,9 @@ class PipelineConfig:
                 raise ConfigError(f"fit_method must be one of {FIT_METHODS}")
             if not 0.0 < _number(self.confidence_level, "confidence_level") < 1.0:
                 raise ConfigError("confidence_level must lie in (0, 1)")
-            # an infinite threshold is allowed: it excludes no row
-            if self.outlier_threshold != math.inf:
-                _number(self.outlier_threshold, "outlier_threshold")
+            _threshold(self.outlier_threshold, "outlier_threshold")
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.outlier_threshold > 0:
-            raise ConfigError("outlier_threshold must be > 0")
         if not isinstance(self.term_sets, Mapping):
             raise ConfigError(f"term_sets must be a mapping, got {self.term_sets!r}")
         for name, terms in self.term_sets.items():
@@ -208,13 +214,20 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
     The first row must be a header containing at least Date plus the
     configured price column; cells equal to "null", "NaN", or empty are
     recorded as missing, and the others must be ASCII numbers without ``_``.
+    Text that ``csv`` cannot read raises FormatError.  The rows are read a
+    column at a time; a file that fails a column check is walked row by
+    row to raise its first error in row order.
     """
     config = config or PipelineConfig()
+    reader = csv.reader(io.StringIO(raw_text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"price file line {reader.line_num}: {exc}") from exc
     # row numbers count the non-blank rows, the header being row 1; blank
-    # lines are skipped uncounted, so a number is not the file line
-    rows = [
-        row for row in csv.reader(io.StringIO(raw_text)) if any(map(str.strip, row))
-    ]
+    # lines (whose cells join to whitespace) are skipped uncounted, so a
+    # number is not the file line
+    rows = list(compress(rows, map(str.strip, map("".join, rows))))
     if not rows:
         raise FormatError("price file is empty")
     header = [cell.strip().lstrip("﻿") for cell in rows[0]]
@@ -224,11 +237,43 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
         raise FormatError(f"no Date column in header {header}")
     date_idx = header.index("Date")
     price_idx = header.index(_pick_price_column(header, config))
-    min_cells = max(date_idx, price_idx) + 1
+    columns = _read_columns(rows[1:], date_idx, price_idx)
+    if columns is None:
+        _raise_first_row_error(rows[1:], date_idx, price_idx)
+    return PriceSeries(*columns)
 
-    dates: list[dt.date] = []
-    values: list[float] = []
-    for rownum, row in enumerate(rows[1:], start=2):
+
+# what each missing marker reads as in the price column
+_MISSING_AS_NAN = dict.fromkeys(MISSING_MARKERS, "nan")
+
+
+def _read_columns(rows: list[list[str]], date_idx: int, price_idx: int):
+    """(dates, prices) read a column at a time, or None when a row is short
+    or holds a bad date, a date out of order or a bad price."""
+    try:
+        dates = tuple(map(dt.date.fromisoformat,
+                          map(str.strip, map(itemgetter(date_idx), rows))))
+        cells = list(map(str.strip, map(itemgetter(price_idx), rows)))
+        text = "".join(cells)
+        if not (_increasing(dates) and _plain(text)):
+            return None
+        values = np.fromiter(map(float, map(_MISSING_AS_NAN.get, cells, cells)),
+                             float, len(cells))
+    except (IndexError, ValueError):
+        return None
+    # each marker reads as NaN, so the prices are finite or missing exactly
+    # when the non-finite values are as many as the markers
+    if np.count_nonzero(~np.isfinite(values)) != sum(map(cells.count, MISSING_MARKERS)):
+        return None
+    return dates, values
+
+
+def _raise_first_row_error(rows: list[list[str]], date_idx: int, price_idx: int):
+    """Raise the error of the first bad row, in row order, with its row number;
+    called once ``_read_columns`` has found that some row is bad."""
+    min_cells = max(date_idx, price_idx) + 1
+    previous = None
+    for rownum, row in enumerate(rows, start=2):
         if len(row) < min_cells:
             raise ParseError(f"row {rownum} has too few cells", row=rownum)
         try:
@@ -237,14 +282,13 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
             raise ParseError(
                 f"row {rownum}: bad date {row[date_idx]!r}: {exc}", row=rownum
             ) from exc
-        if dates and date <= dates[-1]:
+        if previous is not None and date <= previous:
             raise OrderError(
-                f"row {rownum}: date {date} does not increase past {dates[-1]}"
+                f"row {rownum}: date {date} does not increase past {previous}"
             )
+        previous = date
         cell = row[price_idx].strip()
-        if cell in MISSING_MARKERS:
-            value = math.nan
-        else:
+        if cell not in MISSING_MARKERS:
             try:
                 value = _plain_number(cell)
             except ValueError as exc:
@@ -255,6 +299,3 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
                 raise ParseError(
                     f"row {rownum}: price {cell!r} is not finite", row=rownum
                 )
-        dates.append(date)
-        values.append(value)
-    return PriceSeries(tuple(dates), np.array(values))

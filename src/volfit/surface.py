@@ -227,17 +227,39 @@ def design_matrix(table: FeatureTable, terms: TermSet) -> np.ndarray:
 def evaluate_surface(model: PolySurfaceModel, x, y):
     """Evaluate sum of c * x**m * y**n; broadcasts over array inputs.
 
-    Scalars are evaluated as 0-d arrays, so a point gives the same bits
-    whether it is passed alone or inside a grid: both take ``x ** m``
-    through the ``np.power`` ufunc.  ``np.float64`` scalar or Python float
-    powers do not match it bit for bit and must not replace it.
+    Each distinct power is taken once per call, through the ``np.power``
+    ufunc (a point's as a 0-d array); ``np.float64`` scalar or Python
+    float powers do not match it bit for bit and must not replace it.  A
+    point, both coordinates scalars, returns a Python float with the bits
+    it has inside an array: its products and its running sum, from 0.0 in
+    term order, are Python float arithmetic, which rounds as numpy's does,
+    and its powers 0, 1 and 2 are 1.0, x and x * x, which ``np.power``
+    gives exactly too.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    terms = model.term_set.terms
+    ms, ns = {m for m, _ in terms}, {n for _, n in terms}
+    if x.ndim == 0 and y.ndim == 0:
+        xs, ys = _point_powers(x, ms), _point_powers(y, ns)
+        total = 0.0
+        for c, (m, n) in zip(model.coefficients, terms):
+            total += c * xs[m] * ys[n]
+        return total
+    xs, ys = {m: x ** m for m in ms}, {n: y ** n for n in ns}
     out = np.zeros(np.broadcast(x, y).shape)
-    for c, (m, n) in zip(model.coefficients, model.term_set.terms):
-        out = out + c * x ** m * y ** n
-    return float(out) if out.ndim == 0 else out
+    for c, (m, n) in zip(model.coefficients, terms):
+        out = out + c * xs[m] * ys[n]
+    return out
+
+
+def _point_powers(v: np.ndarray, exponents: set[int]) -> dict[int, float]:
+    """``v ** m`` of a 0-d array as Python floats, for 0..2 and each exponent."""
+    f = float(v)
+    powers = {0: 1.0, 1: f, 2: f * f}
+    for m in exponents - powers.keys():
+        powers[m] = float(v ** m)
+    return powers
 
 
 def _scipy_extension(package: str, name: str):
@@ -718,10 +740,10 @@ def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
     The scale is the median of |r| over 0.6745, taken about zero so that a
     table whose residuals are all identical keeps every row.  Returns the
     filtered table and the provenance indices of the dropped rows; raises
-    ExclusionError when dropping would leave fewer rows than model terms.
+    ExclusionError when dropping would leave fewer rows than model terms,
+    and ValueError unless the threshold is a number > 0 (``inf`` included).
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold!r}")
+    threshold = _threshold(threshold, "threshold")
     residuals = table.target - evaluate_surface(model, table.x, table.y)
     absolute = np.abs(residuals)
     scale = float(_median(absolute)) / MAD_TO_SIGMA
@@ -772,13 +794,26 @@ def _scale(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _plain_number(text: str, kind=float):
-    """``kind(text)`` for ASCII text without ``_``; otherwise ValueError.
+def _threshold(value, name: str) -> float:
+    """An outlier threshold: a number > 0, as a float.  ``inf`` is one, and
+    excludes no row; NaN, bools and strings raise ValueError."""
+    if value != math.inf and _number(value, name) <= 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+    return float(value)
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII without ``_``, as every number volfit reads is.
 
     ``int()`` and ``float()`` also read ``1_0`` and non-ASCII digits, which
     no reader of volfit accepts; signs, exponents and spaces read as they do.
     """
-    if "_" in text or not text.isascii():
+    return "_" not in text and text.isascii()
+
+
+def _plain_number(text: str, kind=float):
+    """``kind(text)`` for ``_plain`` text; otherwise ValueError."""
+    if not _plain(text):
         raise ValueError(f"not a plain number: {text!r}")
     return kind(text)
 

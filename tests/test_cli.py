@@ -118,6 +118,18 @@ class TestDecomposeCommand:
         originals = [row.split(",")[1] for row in rows]
         assert "" in originals        # the return touching the null price
 
+    def test_cell_too_long_for_csv_exits_2_with_one_line(self, workspace, capsys):
+        # csv refuses a field over 131072 characters; that is a malformed file
+        lines = sample_prices().splitlines()
+        lines[5] = lines[5] + "0" * 140_000
+        (workspace / "prices.csv").write_text("\n".join(lines) + "\n")
+        rc = run_cli("decompose", "--input", workspace / "prices.csv",
+                     "--out-dir", workspace / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("FormatError: price file line 6: field larger than")
+        assert err.count("\n") == 1
+
 
 class TestFitCommand:
     def test_writes_all_nine_artifacts(self, workspace):
@@ -411,6 +423,23 @@ class TestExportPlotCommand:
         model = vf.fit_ols(table, terms)
         with pytest.raises(ValueError):
             export_plot_data(model, table, 1)
+
+    @staticmethod
+    def _line_fit():
+        terms = vf.TermSet(((0, 0), (1, 0)))
+        table = planted_table(terms, [1.0, 2.0], 30, np.random.default_rng(40), noise=0.1)
+        return vf.fit_ols(table, terms), table
+
+    @pytest.mark.parametrize("grid", [2.5, 3.0, "3", True, None])
+    def test_grid_density_that_is_not_an_integer_refused(self, grid):
+        model, table = self._line_fit()
+        with pytest.raises(ValueError, match="grid density must be a non-negative integer"):
+            export_plot_data(model, table, grid)
+
+    def test_numpy_grid_density_accepted(self):
+        model, table = self._line_fit()
+        assert export_plot_data(model, table, np.int64(3)) == \
+            export_plot_data(model, table, 3)
 
     @pytest.mark.parametrize("grid", [1, 0, -3])
     def test_grid_below_two_refused_before_reading_prices(self, workspace, capsys, grid):

@@ -134,6 +134,31 @@ class TestParserOracle:
             reference_parse_price_csv, text, None
         )
 
+    # (row, cell) edits of the bundled file, and the first error in row order
+    LONG_FILE_DEFECTS = [
+        ({2000: (1, "12x"), 2500: (0, "2017-02-30")}, ParseError, 2000),
+        ({2000: (0, "2017-02-30"), 2500: (1, "12x")}, ParseError, 2000),
+        ({2100: (1, "inf"), 2400: (0, "2011-01-03")}, ParseError, 2100),
+        ({2700: (1, None), 2800: (1, "1_0")}, ParseError, 2700),
+        ({2850: (0, "2011-01-03")}, OrderError, None),
+        ({2856: (1, "nan"), 2857: (0, "2011-01-03")}, ParseError, 2856),
+    ]
+
+    @pytest.mark.parametrize("edits, error, row", LONG_FILE_DEFECTS)
+    def test_long_file_reports_its_first_error(self, edits, error, row):
+        # row r is line r of the bundled file, which has no blank line; a
+        # None cell drops the row's price cell
+        lines = BUNDLED.read_text().splitlines()
+        for r, (column, cell) in edits.items():
+            cells = lines[r - 1].split(",")
+            lines[r - 1] = cells[0] if cell is None else ",".join(
+                cell if i == column else c for i, c in enumerate(cells))
+        text = "\n".join(lines) + "\n"
+        outcome = _outcome(vf.parse_price_csv, text, None)
+        assert outcome == _outcome(reference_parse_price_csv, text, None)
+        assert outcome[0] is error and outcome[2] == row
+        assert outcome[1].startswith(f"row {min(edits)}")
+
 
 class TestParsePriceCsv:
     def test_two_rows(self):
@@ -227,6 +252,19 @@ class TestParsePriceCsv:
         with pytest.raises(ParseError, match="cannot parse price") as excinfo:
             vf.parse_price_csv(text)
         assert excinfo.value.row == 3
+
+    def test_cell_too_long_for_csv_is_a_format_error(self):
+        text = f"Date,Close\n2011-01-03,100.0\n2011-01-04,{'1' * 140_000}\n"
+        with pytest.raises(FormatError, match="price file line 3: field larger than"):
+            vf.parse_price_csv(text)
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_line_endings_read_alike(self, newline):
+        # the CLI reads files with universal newlines; the library reads text
+        # with any of the three endings the same way
+        text = BUNDLED.read_text()
+        assert _outcome(vf.parse_price_csv, text.replace("\n", newline), None) == \
+            _outcome(vf.parse_price_csv, text, None)
 
     def test_price_cells_keep_signs_exponents_and_spaces(self):
         text = "Date,Close\n2011-01-03, +1.5e1 \n2011-01-04,\u00a02E-1\t\n"

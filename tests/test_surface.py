@@ -1270,6 +1270,70 @@ class TestEvaluateSurface:
         assert np.max(np.abs(out_sum - parts)) <= 1e-12 * scale
 
 
+# points where the scalar path could part from the array path: signed
+# zeros, units, subnormals, values whose powers overflow or underflow, and
+# the non-finite values
+SPECIAL_POINTS = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e-200, -1e200, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def _bits(a: np.ndarray) -> list[int]:
+    """Each value's bit pattern, every NaN read as the same NaN: numpy's 0-d
+    and n-d loops can give a NaN different signs, which no reader sees."""
+    return np.where(np.isnan(a), math.nan, a).view(np.int64).tolist()
+
+
+@st.composite
+def surfaces_and_points(draw):
+    """A model with exponents 0-6 and coefficients of any finite magnitude,
+    and points drawn from all finite doubles and ``SPECIAL_POINTS``."""
+    terms = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          min_size=1, max_size=12, unique=True))
+    coefficients = draw(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300])),
+        min_size=len(terms), max_size=len(terms)))
+    model = vf.PolySurfaceModel(
+        term_set=vf.TermSet(tuple(terms)),
+        coefficients=tuple(coefficients),
+        bounds=tuple((c, c) for c in coefficients),
+        method="ols", n_points=len(terms), sigma=0.0, iterations=0,
+    )
+    coordinate = st.one_of(st.floats(), st.sampled_from(SPECIAL_POINTS))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8))
+    return model, points
+
+
+class TestScalarEvaluation:
+    """A point evaluated alone has the bits it has inside an array."""
+
+    @given(case=surfaces_and_points())
+    @settings(max_examples=400, deadline=None)
+    @example(case=(vf.PolySurfaceModel(
+        term_set=vf.DEFAULT_TERM_SETS["trend"], coefficients=(1e300,) * 11,
+        bounds=((1e300, 1e300),) * 11, method="ols", n_points=11, sigma=0.0,
+        iterations=0), [(x, y) for x in SPECIAL_POINTS for y in SPECIAL_POINTS]))
+    def test_point_has_the_bits_of_the_array_evaluation(self, case):
+        model, points = case
+        xs, ys = (np.array(column) for column in zip(*points))
+        with np.errstate(all="ignore"):
+            expected = vf.evaluate_surface(model, xs, ys)
+            values = [vf.evaluate_surface(model, x, y) for x, y in points]
+        assert all(type(v) is float for v in values)
+        assert _bits(np.array(values)) == _bits(expected)
+
+    def test_numpy_scalars_and_0d_arrays_are_points(self):
+        model = vf.PolySurfaceModel(
+            term_set=vf.DEFAULT_TERM_SETS["trend"], coefficients=tuple(range(11)),
+            bounds=tuple((c, c) for c in range(11)), method="ols", n_points=11,
+            sigma=0.0, iterations=0)
+        for x, y in [(np.float64(0.3), np.float64(-1.7)), (np.array(0.3), np.array(-1.7)),
+                     (2, np.int64(-3))]:
+            value = vf.evaluate_surface(model, x, y)
+            assert type(value) is float
+            assert value == vf.evaluate_surface(model, float(x), float(y))
+
+
 class TestPermutationInvariance:
     @pytest.mark.parametrize("fit", [vf.fit_ols, vf.fit_lar, vf.fit_bisquare])
     def test_row_order_does_not_matter(self, fit):
@@ -1351,6 +1415,29 @@ class TestRemoveOutliers:
         model = vf.fit_ols(table, LINE)
         with pytest.raises(ValueError, match="threshold"):
             vf.remove_outliers(table, model, threshold)
+
+    @staticmethod
+    def _line_fit(noise):
+        table = planted_table(LINE, [1.0, 2.0], 60, np.random.default_rng(17), noise=noise)
+        return table, vf.fit_ols(table, LINE)
+
+    @pytest.mark.parametrize("threshold", [True, "3", None, [3.0]])
+    def test_threshold_that_is_not_a_number_is_rejected(self, threshold):
+        # True would run as a threshold of 1.0
+        table, model = self._line_fit(0.1)
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            vf.remove_outliers(table, model, threshold)
+
+    @pytest.mark.parametrize("threshold", [math.inf, np.float64(math.inf)])
+    def test_infinite_threshold_keeps_every_row(self, threshold):
+        table, model = self._line_fit(0.1)
+        kept, excluded = vf.remove_outliers(table, model, threshold)
+        assert kept is table and excluded == ()
+
+    def test_numpy_threshold_reads_as_its_float(self):
+        table, model = self._line_fit(0.5)
+        excluded = vf.remove_outliers(table, model, np.float64(1.0))[1]
+        assert excluded and excluded == vf.remove_outliers(table, model, 1.0)[1]
 
 
 class TestModelRecord:
