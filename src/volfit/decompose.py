@@ -95,6 +95,9 @@ def moving_average_pass(series, window: int) -> np.ndarray:
     from 0.0 in ascending index order; the pad's zeros change no sum, so it
     is a plain left-to-right sum, bit for bit.  The window counts are small
     integers, so taking them as differences of a running count is exact.
+    The half-width is capped at n: from k = n on, every window spans the
+    whole series with a pad zero at each end, so a wider window pads and
+    sums more zeros to the same bits.
     """
     if window < 1 or window % 2 == 0:
         raise WindowError(f"window must be odd and >= 1, got {window}")
@@ -104,7 +107,7 @@ def moving_average_pass(series, window: int) -> np.ndarray:
     n = values.size
     if n == 0:
         return values.copy()
-    k = (window - 1) // 2
+    k = min((window - 1) // 2, n)
     missing = np.isnan(values)
     running = np.concatenate(([0.0], np.cumsum(~missing, dtype=float)))
     index = np.arange(n)

@@ -146,7 +146,8 @@ def load_config(raw_text: str) -> PipelineConfig:
     plain ASCII, as ``int()`` and ``float()`` read them, without ``_``.
     """
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(raw_text.splitlines(), start=1):
+    # a leading byte-order mark is dropped, as ``parse_price_csv`` drops it
+    for lineno, line in enumerate(raw_text.lstrip("\ufeff").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -230,7 +231,7 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
     rows = list(compress(rows, map(str.strip, map("".join, rows))))
     if not rows:
         raise FormatError("price file is empty")
-    header = [cell.strip().lstrip("﻿") for cell in rows[0]]
+    header = [cell.strip().lstrip("\ufeff") for cell in rows[0]]
     if len(rows) == 1:
         raise FormatError("price file has a header but no data rows")
     if "Date" not in header:

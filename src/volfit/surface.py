@@ -15,9 +15,9 @@ Everything the fits take from scipy comes from ``_scipy()``, loaded by the
 first fit, so that evaluating a saved model loads numpy only: the LAPACK
 routines of ``scipy.linalg._flapack``, the Student-t quantile of
 ``scipy.special._ufuncs`` (both loaded without their packages) and the
-thread setter of the OpenBLAS that ``_flapack`` links.  The QR
-factorizations run on one thread of that OpenBLAS, when it can be told
-so (see ``_with_workspace``); numpy's own BLAS is left alone.
+thread setter of the OpenBLAS that ``_flapack`` links.  Each fit's
+LAPACK calls run on one thread of that OpenBLAS, when it can be told so
+(see ``_fit``); numpy's own BLAS is left alone.
 """
 
 from __future__ import annotations
@@ -201,12 +201,14 @@ def build_feature_table(series, lag: int = 1) -> FeatureTable:
     the scaled time index in (0, 1] and the value ``lag`` steps earlier.
     Rows touching a missing value are dropped and the surviving targets'
     indices are kept as provenance.  Raises ValueError unless lag is an
-    integer (numpy's too) >= 1.
+    integer (numpy's too) >= 1 and the series is 1-d.
     """
     lag = _count(lag, "lag")
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
     values = np.asarray(series, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("series must be 1-d")
     total = values.size
     if total <= lag:
         raise InsufficientData(f"series of length {total} cannot support lag {lag}")
@@ -221,45 +223,43 @@ def build_feature_table(series, lag: int = 1) -> FeatureTable:
 
 def design_matrix(table: FeatureTable, terms: TermSet) -> np.ndarray:
     """Matrix with entry (i, j) = x_i**m_j * y_i**n_j (0**0 taken as 1)."""
-    return np.column_stack([table.x ** m * table.y ** n for m, n in terms.terms])
+    xs, ys = _powers(table.x, table.y, terms.terms)
+    return np.column_stack([xs[m] * ys[n] for m, n in terms.terms])
 
 
 def evaluate_surface(model: PolySurfaceModel, x, y):
     """Evaluate sum of c * x**m * y**n; broadcasts over array inputs.
 
-    Each distinct power is taken once per call, through the ``np.power``
-    ufunc (a point's as a 0-d array); ``np.float64`` scalar or Python
-    float powers do not match it bit for bit and must not replace it.  A
-    point, both coordinates scalars, returns a Python float with the bits
-    it has inside an array: its products and its running sum, from 0.0 in
-    term order, are Python float arithmetic, which rounds as numpy's does,
-    and its powers 0, 1 and 2 are 1.0, x and x * x, which ``np.power``
-    gives exactly too.
+    The sum runs from 0.0 in term order over ``_powers``' table.  A point,
+    both coordinates scalars, returns a Python float with the bits it has
+    inside an array: Python float products and sums round as numpy's do.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     terms = model.term_set.terms
-    ms, ns = {m for m, _ in terms}, {n for _, n in terms}
-    if x.ndim == 0 and y.ndim == 0:
-        xs, ys = _point_powers(x, ms), _point_powers(y, ns)
-        total = 0.0
-        for c, (m, n) in zip(model.coefficients, terms):
-            total += c * xs[m] * ys[n]
-        return total
-    xs, ys = {m: x ** m for m in ms}, {n: y ** n for n in ns}
-    out = np.zeros(np.broadcast(x, y).shape)
+    xs, ys = _powers(np.asarray(x, dtype=float), np.asarray(y, dtype=float), terms)
+    total = 0.0
     for c, (m, n) in zip(model.coefficients, terms):
-        out = out + c * xs[m] * ys[n]
-    return out
+        total = total + c * xs[m] * ys[n]
+    return total
 
 
-def _point_powers(v: np.ndarray, exponents: set[int]) -> dict[int, float]:
-    """``v ** m`` of a 0-d array as Python floats, for 0..2 and each exponent."""
-    f = float(v)
-    powers = {0: 1.0, 1: f, 2: f * f}
-    for m in exponents - powers.keys():
-        powers[m] = float(v ** m)
-    return powers
+def _powers(x: np.ndarray, y: np.ndarray, terms) -> tuple[dict, dict]:
+    """Each distinct ``x ** m`` and ``y ** n`` of the terms' (m, n) pairs,
+    taken once through the ``np.power`` ufunc; ``np.float64`` scalar or
+    Python float powers do not match it bit for bit and must not replace it.
+    When x and y are both 0-d the powers are Python floats: 1.0, v and v * v
+    for 0, 1 and 2, which ``np.power`` gives exactly too, and ``float(v ** e)``
+    above; otherwise they are arrays."""
+    ms, ns = {m for m, _ in terms}, {n for _, n in terms}
+    if x.ndim or y.ndim:
+        return {m: x ** m for m in ms}, {n: y ** n for n in ns}
+    tables = []
+    for v, exponents in ((x, ms), (y, ns)):
+        f = float(v)
+        powers = {0: 1.0, 1: f, 2: f * f}
+        for e in exponents - powers.keys():
+            powers[e] = float(v ** e)
+        tables.append(powers)
+    return tuple(tables)
 
 
 def _scipy_extension(package: str, name: str):
@@ -342,28 +342,14 @@ def _lwork(routine, *shapes) -> int:
 
 
 def _with_workspace(routine, *args, **kwargs):
-    """Call a LAPACK routine with the workspace size it asks for, on one
-    BLAS thread.
+    """Call a LAPACK routine with the workspace size it asks for.
 
     This is scipy's ``safecall``, with its ``lwork=-1`` query, which reads
     the shapes only, made once per shape: the workspace size sets LAPACK's
-    blocking and so the result's bits.  geqp3 and orgqr, the only routines
-    called here, run on one thread of scipy's OpenBLAS, set through
-    ``_scipy().set_threads``: at volfit's sizes (about 2000 x 11) a solve
-    then takes about 40% less time, and the bits do not depend on the
-    count, since OpenBLAS splits each BLAS call by output rows or columns,
-    never along a sum.  The previous count is restored in a ``finally``.
-    OpenBLAS's "local" setter writes the count for the whole process (as
-    of 0.3.31), so any other thread's calls into that OpenBLAS also run
-    on one thread while a factorization runs; volfit is single-threaded.
+    blocking and so the result's bits.
     """
-    set_threads = _scipy().set_threads
-    previous = set_threads(1)
-    try:
-        lwork = _lwork(routine, *(a.shape for a in args))
-        *out, info = routine(*args, lwork=lwork, **kwargs)
-    finally:
-        set_threads(previous)
+    lwork = _lwork(routine, *(a.shape for a in args))
+    *out, info = routine(*args, lwork=lwork, **kwargs)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of a LAPACK call")
     return out[:-1]
@@ -476,6 +462,15 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
     W is None or leaves that design rank deficient.  An interpolating fit
     (n == p) has sigma 0 and point bounds.  Raises InsufficientData for
     n < p, and ValueError after the walk unless 0 < level < 1.
+
+    The start, the walk and the bounds run on one thread of scipy's
+    OpenBLAS, set through ``_scipy().set_threads`` and restored in a
+    ``finally``: at volfit's sizes (about 2000 x 11) a QR solve then takes
+    about 40% less time, and the bits do not depend on the count, since
+    OpenBLAS splits each BLAS call by output rows or columns, never along a
+    sum.  OpenBLAS's "local" setter writes the count for the whole process
+    (as of 0.3.31), so any other thread's calls into that OpenBLAS also run
+    on one thread during a fit; volfit is single-threaded.
     """
     X = design_matrix(table, terms)
     n, p = X.shape
@@ -483,28 +478,33 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
         raise InsufficientData(
             f"{n} rows cannot determine {p} terms ({', '.join(terms.labels())})"
         )
-    y = table.target
-    beta, (r, piv) = _qr_solve(X, y, terms)
-    beta, iterations, converged, weights = walk(X, y, beta, terms)
-    if not 0.0 < confidence_level < 1.0:
-        raise ValueError(
-            f"confidence level must lie in (0, 1), got {confidence_level!r}")
-    coefficients = tuple(float(b) for b in beta)
-    sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
-    if n > p:
-        residuals = y - X @ beta
-        sigma = math.sqrt(float(residuals @ residuals) / (n - p))
-        if weights is not None:
-            r_w, _, _, piv_w, rank = _pivoted_qr(X, np.sqrt(weights))
-            if rank == p:
-                r, piv = r_w, piv_w
-        rinv = _r_solve(r, np.eye(p))
-        variance = np.empty(p)
-        variance[piv] = np.diag(rinv @ rinv.T)
-        se = sigma * np.sqrt(np.maximum(variance, 0.0))
-        tq = float(_scipy().stdtrit(n - p, 0.5 + confidence_level / 2.0))
-        bounds = tuple((float(c - tq * s), float(c + tq * s))
-                       for c, s in zip(coefficients, se))
+    set_threads = _scipy().set_threads
+    previous = set_threads(1)
+    try:
+        y = table.target
+        beta, (r, piv) = _qr_solve(X, y, terms)
+        beta, iterations, converged, weights = walk(X, y, beta, terms)
+        if not 0.0 < confidence_level < 1.0:
+            raise ValueError(
+                f"confidence level must lie in (0, 1), got {confidence_level!r}")
+        coefficients = tuple(float(b) for b in beta)
+        sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
+        if n > p:
+            residuals = y - X @ beta
+            sigma = math.sqrt(float(residuals @ residuals) / (n - p))
+            if weights is not None:
+                r_w, _, _, piv_w, rank = _pivoted_qr(X, np.sqrt(weights))
+                if rank == p:
+                    r, piv = r_w, piv_w
+            rinv = _r_solve(r, np.eye(p))
+            variance = np.empty(p)
+            variance[piv] = np.diag(rinv @ rinv.T)
+            se = sigma * np.sqrt(np.maximum(variance, 0.0))
+            tq = float(_scipy().stdtrit(n - p, 0.5 + confidence_level / 2.0))
+            bounds = tuple((float(c - tq * s), float(c + tq * s))
+                           for c, s in zip(coefficients, se))
+    finally:
+        set_threads(previous)
     return PolySurfaceModel(
         term_set=terms, coefficients=coefficients, bounds=bounds, method=method,
         n_points=n, sigma=sigma, iterations=iterations, converged=converged)
@@ -778,11 +778,15 @@ def model_to_document(model: PolySurfaceModel) -> str:
 
 
 def _number(value, name: str) -> float:
-    """A finite int or float, numpy's too, as a float; anything else is a ValueError."""
+    """A finite int or float, numpy's too, as a float; anything else is a ValueError.
+
+    A numpy float meets float64's max as a float64: a Python float would be
+    cast down to a float16 or float32, with an overflow warning."""
     if type(value) is float and math.isfinite(value):
         return value
     if (type(value) is not bool and isinstance(value, (int, np.integer, np.floating))
-            and abs(value) <= sys.float_info.max):
+            and abs(value) <= (np.finfo(float).max if isinstance(value, np.floating)
+                               else sys.float_info.max)):
         return float(value)
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 

@@ -112,6 +112,17 @@ class TestMovingAveragePass:
         fast = vf.moving_average_pass(np.array(values), window)
         assert fast.tobytes() == brute_force_moving_average(values, window).tobytes()
 
+    @pytest.mark.parametrize("values", [
+        [-0.0, np.nan, 1.5, -0.0, np.nan, -2.25, 1e-300], [-0.0, np.nan, -0.0],
+    ])
+    def test_window_wider_than_twice_the_series_keeps_its_bytes(self, values):
+        # the half-width is capped at n, so the pad and the sum stop growing
+        values = np.array(values)
+        n = values.size
+        wide = vf.moving_average_pass(values, 10**6 + 1)
+        assert wide.tobytes() == vf.moving_average_pass(values, 2 * n + 1).tobytes()
+        assert wide.tobytes() == brute_force_moving_average(values, 2 * n + 1).tobytes()
+
     @given(
         values=st.lists(
             st.one_of(

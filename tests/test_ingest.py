@@ -283,6 +283,11 @@ class TestLoadConfig:
         assert config.lag == 1
         assert config.term_sets == vf.DEFAULT_TERM_SETS
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        # it was read as part of the first key: unknown key '\ufeffn_train'
+        text = "n_train = 100\nlag = 2\n"
+        assert vf.load_config("\ufeff" + text) == vf.load_config(text)
+
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
             vf.load_config("kz_trend_window = 4\n")

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import sys
 import types
 from pathlib import Path
 
@@ -95,6 +96,11 @@ class TestBuildFeatureTable:
         with pytest.raises(ValueError, match="lag"):
             vf.build_feature_table([1.0, 2.0, 3.0, 4.0], lag)
 
+    def test_two_dimensional_series_is_refused(self):
+        # this raised IndexError
+        with pytest.raises(ValueError, match="series must be 1-d"):
+            vf.build_feature_table(np.ones((4, 2)))
+
     def test_numpy_lag_accepted(self):
         series = [1.0, 2.0, 3.0, 4.0]
         assert (vf.build_feature_table(series, np.int64(2)).provenance.tolist()
@@ -154,6 +160,16 @@ class TestDesignMatrix:
         table = make_table([2.0], [4.0], [0.0])
         X = vf.design_matrix(table, vf.TermSet(((1, 0), (0, 1), (1, 1))))
         assert X.tolist() == [[2.0, 4.0, 8.0]]
+
+    @pytest.mark.parametrize("name", surface.SERIES_NAMES)
+    def test_default_terms_have_the_bits_of_per_term_powers(self, name):
+        rng = np.random.default_rng(23)
+        x, y = rng.uniform(0, 1, 300), rng.normal(0, 3, 300)
+        y[:4] = [0.0, -0.0, 1e-200, -1e150]
+        terms = vf.DEFAULT_TERM_SETS[name]
+        reference = np.column_stack([x ** m * y ** n for m, n in terms.terms])
+        X = vf.design_matrix(make_table(x, y, np.zeros(300)), terms)
+        assert X.tobytes() == reference.tobytes()
 
 
 class TestFitOls:
@@ -1188,6 +1204,54 @@ class TestBlasThreads:
         assert got == expect
 
 
+class TestFitThreadScope:
+    """One one-thread scope per fit covers every LAPACK routine it calls."""
+
+    ROUTINES = ("geqp3", "orgqr", "trtrs", "getrf", "getrs")
+
+    @classmethod
+    def _patch(cls, monkeypatch, wrap):
+        """Make ``_scipy()`` hand out each routine as ``wrap(name, routine)``."""
+        lib = surface._scipy()
+        wrapped = types.SimpleNamespace(**{
+            **vars(lib), **{name: wrap(name, getattr(lib, name)) for name in cls.ROUTINES}})
+        monkeypatch.setattr(surface, "_scipy", lambda: wrapped)
+
+    @needs_thread_setter
+    def test_every_routine_runs_on_one_thread(self, monkeypatch, two_blas_threads):
+        seen = []
+
+        def reading(name, routine):
+            def call(*args, **kwargs):
+                seen.append((name, _blas_threads()))
+                return routine(*args, **kwargs)
+            return call
+
+        self._patch(monkeypatch, reading)
+        for method in vf.FIT_METHODS:
+            getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
+        assert {name for name, _ in seen} == set(self.ROUTINES)
+        assert {count for _, count in seen} == {1}
+        assert _blas_threads() == 2
+
+    @needs_thread_setter
+    @pytest.mark.parametrize("routine", ["trtrs", "getrf"])
+    def test_fit_whose_routine_raises_restores_the_count(self, routine, monkeypatch,
+                                                         two_blas_threads):
+        def failing(name, call):
+            if name != routine:
+                return call
+
+            def fail(*args, **kwargs):
+                raise RuntimeError(f"{name} failed")
+            return fail
+
+        self._patch(monkeypatch, failing)
+        with pytest.raises(RuntimeError, match=f"{routine} failed"):
+            vf.fit_lar(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
+        assert _blas_threads() == 2
+
+
 class TestFactorizationCount:
     """A fit factors its design once per solve, and its bounds reuse the
     start's factorization unless they take weights."""
@@ -1268,6 +1332,29 @@ class TestEvaluateSurface:
             vf.evaluate_surface(self._model(terms, b), xs, ys)
         scale = np.max(np.abs(parts)) or 1.0
         assert np.max(np.abs(out_sum - parts)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("x, y", [
+        (0.3, [-1.7, 0.0, -0.0, 2.5]),
+        ([[0.1], [-0.0]], [1.0, -2.0, 3.5]),
+        (np.array([]), np.array([])),
+        ([0.1, 0.2, -0.3], [1.0, -2.0, 3.5]),
+        ([0.5, np.nan, -0.0], [np.nan, 1.0, -0.0]),
+    ], ids=["0-d by 1-d", "(2, 1) by (3,)", "empty", "lists", "NaN and -0.0"])
+    def test_mixed_shapes_have_the_bits_of_the_full_arrays(self, x, y):
+        rng = np.random.default_rng(24)
+        terms = vf.DEFAULT_TERM_SETS["remainder"]
+        model = self._model(terms, rng.normal(0, 1, len(terms)))
+        full_x, full_y = np.broadcast_arrays(np.array(x, dtype=float),
+                                             np.array(y, dtype=float))
+        out = vf.evaluate_surface(model, x, y)
+        expected = vf.evaluate_surface(model, full_x.copy(), full_y.copy())
+        assert type(out) is np.ndarray and out.shape == full_x.shape
+        assert _bits(out) == _bits(expected)
+
+    def test_shape_mismatch_raises(self):
+        model = self._model(LINE, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            vf.evaluate_surface(model, np.zeros(2), np.zeros(3))
 
 
 # points where the scalar path could part from the array path: signed
@@ -1434,9 +1521,12 @@ class TestRemoveOutliers:
         kept, excluded = vf.remove_outliers(table, model, threshold)
         assert kept is table and excluded == ()
 
-    def test_numpy_threshold_reads_as_its_float(self):
+    # float16 and float32 warned "overflow encountered in cast" when compared
+    # with float64's max
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.float16])
+    def test_numpy_threshold_reads_as_its_float(self, kind):
         table, model = self._line_fit(0.5)
-        excluded = vf.remove_outliers(table, model, np.float64(1.0))[1]
+        excluded = vf.remove_outliers(table, model, kind(1.0))[1]
         assert excluded and excluded == vf.remove_outliers(table, model, 1.0)[1]
 
 
@@ -1461,6 +1551,19 @@ class TestModelRecord:
     def test_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
             self._model(**{field: value})
+
+    def test_float32_coefficients_are_stored_as_floats(self):
+        model = self._model(coefficients=np.array([1.0, 2.0], dtype=np.float32),
+                            bounds=np.array([[0.5, 1.5], [1.5, 2.5]], dtype=np.float16))
+        assert model == self._model()
+        assert all(type(c) is float for c in model.coefficients)
+
+    def test_longdouble_beyond_float64_is_refused(self):
+        huge = np.longdouble(sys.float_info.max) * 2
+        if not np.isfinite(huge):
+            pytest.skip("longdouble is float64 on this platform")
+        with pytest.raises(ValueError, match="coefficient must be a finite number"):
+            self._model(coefficients=(huge, 2.0), bounds=((-huge, huge), (1.5, 2.5)))
 
     def test_numpy_count_is_stored_as_int(self):
         model = self._model(n_points=np.int64(5))
