@@ -19,7 +19,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,18 +73,16 @@ def decomposition_csv(dec: DecomposedSeries) -> str:
     return ev._csv_text("index,original,trend,seasonal,remainder", columns)
 
 
-# PipelineConfig fields the fitting flags override; each flag's dest is its field
-_OVERRIDES = ("fit_method", "n_train", "lag", "outlier_threshold")
-
-
 def _load_inputs(args) -> tuple[str, PipelineConfig]:
     raw_prices = Path(args.input).read_text(encoding="utf-8")
     if args.config is not None:
         config = load_config(Path(args.config).read_text(encoding="utf-8"))
     else:
         config = PipelineConfig()
+    # each fitting flag's dest is the PipelineConfig field it overrides
     flags = vars(args)
-    overrides = {name: flags[name] for name in _OVERRIDES if flags.get(name) is not None}
+    overrides = {f.name: flags[f.name] for f in fields(PipelineConfig)
+                 if flags.get(f.name) is not None}
     return raw_prices, replace(config, **overrides)
 
 
@@ -141,7 +139,7 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
             kept, excluded = train, ()
         if excluded:
             model = fit(kept, terms, confidence_level=config.confidence_level)
-        report = ev.fit_report(name, config.fit_method, model, kept, test, excluded)
+        report = ev.fit_report(name, model, kept, test, excluded)
         results[name] = {
             "table": table,
             "train": kept,

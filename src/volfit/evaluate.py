@@ -114,16 +114,14 @@ def rmse(model: PolySurfaceModel, table: FeatureTable, mode: str) -> float:
     return math.sqrt(sse / n)
 
 
-def fit_report(series_name: str, method: str, model: PolySurfaceModel,
+def fit_report(series_name: str, model: PolySurfaceModel,
                train: FeatureTable, test: FeatureTable,
                excluded: tuple[int, ...]) -> FitReport:
     """Assemble the per-series report for a model fitted on the train table;
-    ValueError if ``method`` is not the model's."""
-    if method != model.method:
-        raise ValueError(f"a {model.method} model cannot be reported as {method!r}")
+    the report's method is the model's."""
     return FitReport(
         series_name=series_name,
-        method=method,
+        method=model.method,
         train_rmse=rmse(model, train, "train"),
         test_rmse=rmse(model, test, "test"),
         n_train=len(train),

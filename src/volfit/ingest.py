@@ -128,15 +128,14 @@ class PipelineConfig:
             raise ConfigError(f"no term set for series {', '.join(missing)}")
 
 
-_INT_KEYS = {
-    "kz_trend_window", "kz_trend_iters",
-    "kz_seasonal_window", "kz_seasonal_iters",
-    "n_train", "lag",
-}
-_FLOAT_KEYS = {"outlier_threshold", "confidence_level"}
 _TERM_KEYS = {f"terms_{name}": name for name in SERIES_NAMES}
-_STRING_KEYS = {"price_column", "fit_method"}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STRING_KEYS | set(_TERM_KEYS)
+# every key load_config reads; each one's kind is given where it is read
+CONFIG_KEYS = {
+    "price_column", "fit_method",
+    "kz_trend_window", "kz_trend_iters", "kz_seasonal_window", "kz_seasonal_iters",
+    "n_train", "lag", "outlier_threshold", "confidence_level",
+    *_TERM_KEYS,
+}
 
 
 def load_config(raw_text: str) -> PipelineConfig:

@@ -461,7 +461,8 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
     from sigma^2 (X'WX)^-1, factored as sqrt(W) X, or as the start's X where
     W is None or leaves that design rank deficient.  An interpolating fit
     (n == p) has sigma 0 and point bounds.  Raises InsufficientData for
-    n < p, and ValueError after the walk unless 0 < level < 1.
+    n < p, and ValueError after the start and before the walk unless
+    0 < level < 1, so a rank-deficient design raises RankError first.
 
     The start, the walk and the bounds run on one thread of scipy's
     OpenBLAS, set through ``_scipy().set_threads`` and restored in a
@@ -483,10 +484,10 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
     try:
         y = table.target
         beta, (r, piv) = _qr_solve(X, y, terms)
-        beta, iterations, converged, weights = walk(X, y, beta, terms)
         if not 0.0 < confidence_level < 1.0:
             raise ValueError(
                 f"confidence level must lie in (0, 1), got {confidence_level!r}")
+        beta, iterations, converged, weights = walk(X, y, beta, terms)
         coefficients = tuple(float(b) for b in beta)
         sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
         if n > p:
@@ -766,9 +767,10 @@ def model_to_document(model: PolySurfaceModel) -> str:
     """Serialize a fitted model to its JSON document."""
     doc = {
         "method": model.method,
-        "terms": [[m, n] for m, n in model.term_set.terms],
-        "coefficients": list(model.coefficients),
-        "bounds": [[lo, hi] for lo, hi in model.bounds],
+        # json writes each tuple as an array
+        "terms": model.term_set.terms,
+        "coefficients": model.coefficients,
+        "bounds": model.bounds,
         "sigma": model.sigma,
         "n_points": model.n_points,
         "iterations": model.iterations,

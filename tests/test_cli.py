@@ -15,6 +15,7 @@ import pytest
 import volfit as vf
 from volfit import surface
 from volfit.cli import _write_artifacts, export_plot_data, main, run_pipeline
+from volfit.errors import ExclusionError
 
 from helpers import planted_table
 
@@ -362,6 +363,17 @@ class TestPredictCommand:
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("usage: volfit predict")
 
+    def test_option_that_is_not_a_number_is_a_usage_error(self, tmp_path, capsys):
+        # "-x" does not read as a float, so it stays an option and y is missing
+        doc = tmp_path / "model.json"
+        self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("predict", doc, "0.5", "-x")
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: volfit predict")
+
     def test_infinite_threshold_still_accepted(self, workspace):
         rc = run_cli(
             "fit", "--input", workspace / "prices.csv",
@@ -470,6 +482,22 @@ class TestPipelineFits:
         config = replace(vf.load_config(SMALL_CONFIG), fit_method=method)
         run_pipeline((workspace / "prices.csv").read_text(), config)
         assert len(calls) >= 4
+
+    def test_refused_exclusion_keeps_the_first_fit(self, workspace, monkeypatch):
+        # an ExclusionError keeps every training row and the first-pass model
+        def refuse(*args, **kwargs):
+            raise ExclusionError("too few rows would remain")
+
+        monkeypatch.setattr(surface, "remove_outliers", refuse)
+        config = vf.load_config(SMALL_CONFIG)
+        dec, results = run_pipeline((workspace / "prices.csv").read_text(), config)
+        for name in vf.SERIES_NAMES:
+            table = vf.build_feature_table(dec.component(name), config.lag)
+            train, _ = vf.split_train_test(table, config.n_train)
+            result = results[name]
+            assert result["model"] == vf.fit_lar(train, config.term_sets[name]), name
+            assert np.array_equal(result["train"].provenance, train.provenance), name
+            assert result["report"].excluded == (), name
 
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
     def test_reloaded_bounds_equal_stored_bounds(self, tmp_path, method):

@@ -63,6 +63,15 @@ class TestMovingAveragePass:
         with pytest.raises(WindowError):
             vf.moving_average_pass([1.0, 2.0], 2)
 
+    def test_two_dimensional_series_rejected(self):
+        with pytest.raises(WindowError, match="series must be 1-d"):
+            vf.moving_average_pass(np.ones((3, 2)), 3)
+
+    def test_empty_series_gives_an_empty_copy(self):
+        values = np.array([], dtype=float)
+        out = vf.moving_average_pass(values, 5)
+        assert out.shape == (0,) and out is not values
+
     def test_window_one_is_identity(self):
         values = np.array([1.0, np.nan, 3.0])
         out = vf.moving_average_pass(values, 1)
@@ -220,6 +229,15 @@ class TestDecompose:
         assert np.array_equal(dec.component("trend"), dec.trend)
         with pytest.raises(KeyError):
             dec.component("noise")
+
+    def test_two_dimensional_returns_rejected(self):
+        with pytest.raises(ValueError, match="return series must be 1-d"):
+            vf.ReturnSeries(np.ones((3, 2)))
+
+    def test_short_component_rejected(self):
+        returns = vf.ReturnSeries(np.arange(1.0, 6.0))
+        with pytest.raises(ValueError, match="match the original length"):
+            vf.DecomposedSeries(returns, np.zeros(5), np.zeros(4), np.zeros(5))
 
     def test_defaults_match_documented_parameters(self):
         rng = np.random.default_rng(29)

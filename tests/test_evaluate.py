@@ -121,6 +121,11 @@ class TestRmse:
         with pytest.raises(DegreesOfFreedomError):
             vf.rmse(constant_model(0.0), table, "train")
 
+    def test_test_mode_needs_a_row(self):
+        table = make_table([0.5], [1.0], [3.0]).subset(slice(0, 0))
+        with pytest.raises(DegreesOfFreedomError, match="at least one row"):
+            vf.rmse(constant_model(0.0), table, "test")
+
     def test_unknown_mode(self):
         table = make_table([0.5], [1.0], [3.0])
         with pytest.raises(ValueError):
@@ -166,14 +171,14 @@ class TestFitReport:
         table = planted_table(LINE, [1.0, 2.0], 30, rng)
         train, test = vf.split_train_test(table, 20)
         model = vf.fit_ols(train, LINE)
-        report = vf.fit_report("volatility", "ols", model, train, test, ())
+        report = vf.fit_report("volatility", model, train, test, ())
         assert report.train_rmse == pytest.approx(0.0, abs=1e-12)
         assert report.test_rmse == pytest.approx(0.0, abs=1e-12)
 
     def test_counts_add_up(self):
         rng = np.random.default_rng(26)
         table, train, test, model = self._fitted(2857, 2000, rng)
-        report = vf.fit_report("trend", "ols", model, train, test, ())
+        report = vf.fit_report("trend", model, train, test, ())
         assert report.n_train + report.n_test + len(report.excluded) == 2857
         assert (report.n_train, report.n_test) == (2000, 857)
 
@@ -184,9 +189,7 @@ class TestFitReport:
         pretend_excluded = tuple(train.provenance[:5])
         kept = train.subset(slice(5, None))
         model = vf.fit_ols(kept, LINE)
-        report = vf.fit_report(
-            "remainder", "ols", model, kept, test, pretend_excluded
-        )
+        report = vf.fit_report("remainder", model, kept, test, pretend_excluded)
         assert report.n_train + report.n_test == 95
         assert report.n_train + report.n_test + len(report.excluded) == 100
 
@@ -194,14 +197,14 @@ class TestFitReport:
         rng = np.random.default_rng(28)
         table, train, test, model = self._fitted(50, 30, rng)
         with pytest.raises(ValueError):
-            vf.fit_report("close", "ols", model, train, test, ())
+            vf.fit_report("close", model, train, test, ())
 
     @pytest.mark.parametrize("index", [3.9, 3.0, True, "3"])
     def test_excluded_index_must_be_an_integer(self, index):
         rng = np.random.default_rng(28)
         table, train, test, model = self._fitted(50, 30, rng)
         with pytest.raises(ValueError, match="excluded indices must be integers"):
-            vf.fit_report("trend", "ols", model, train, test, (2, index))
+            vf.fit_report("trend", model, train, test, (2, index))
 
     @pytest.mark.parametrize("field, value", [
         ("n_train", 2.5),
@@ -211,14 +214,14 @@ class TestFitReport:
     def test_record_refuses_what_its_reader_refuses(self, field, value):
         rng = np.random.default_rng(28)
         table, train, test, model = self._fitted(50, 30, rng)
-        report = vf.fit_report("trend", "ols", model, train, test, ())
+        report = vf.fit_report("trend", model, train, test, ())
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(report, **{field: value})
 
     def test_document_round_trip(self):
         rng = np.random.default_rng(29)
         table, train, test, model = self._fitted(50, 30, rng)
-        report = vf.fit_report("seasonal", "ols", model, train, test, (3, 9))
+        report = vf.fit_report("seasonal", model, train, test, (3, 9))
         loaded = vf.report_from_document(vf.report_to_document(report))
         assert loaded == report
 
@@ -226,18 +229,13 @@ class TestFitReport:
         with pytest.raises(FormatError):
             vf.report_from_document("{not json")
 
-    def test_unknown_method_rejected(self):
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_method_is_the_models(self, method):
         rng = np.random.default_rng(30)
-        table, train, test, model = self._fitted(50, 30, rng)
-        with pytest.raises(ValueError):
-            vf.fit_report("seasonal", "bogus", model, train, test, ())
-
-    @pytest.mark.parametrize("method", ["lar", "bisquare"])
-    def test_method_must_be_the_models(self, method):
-        rng = np.random.default_rng(30)
-        table, train, test, model = self._fitted(50, 30, rng)
-        with pytest.raises(ValueError, match="ols model"):
-            vf.fit_report("seasonal", method, model, train, test, ())
+        table = planted_table(LINE, [1.0, 2.0], 50, rng, noise=0.2)
+        train, test = vf.split_train_test(table, 30)
+        model = getattr(vf, f"fit_{method}")(train, LINE)
+        assert vf.fit_report("seasonal", model, train, test, ()).method == method
 
     @pytest.mark.parametrize("field, value", [
         ("converged", "false"),
@@ -248,7 +246,7 @@ class TestFitReport:
     def test_mistyped_or_out_of_range_field(self, field, value):
         rng = np.random.default_rng(31)
         table, train, test, model = self._fitted(50, 30, rng)
-        report = vf.fit_report("seasonal", "ols", model, train, test, (3, 9))
+        report = vf.fit_report("seasonal", model, train, test, (3, 9))
         document = json.loads(vf.report_to_document(report))
         document[field] = value
         with pytest.raises(FormatError):
@@ -273,7 +271,7 @@ def _report_documents():
         table = planted_table(LINE, [1.0, 2.0], 50, rng, noise=0.2)
         train, test = vf.split_train_test(table, 30)
         model = getattr(vf, f"fit_{method}")(train, LINE)
-        report = vf.fit_report(name, method, model, train, test, excluded)
+        report = vf.fit_report(name, model, train, test, excluded)
         documents.append(vf.report_to_document(report))
     return documents
 
@@ -317,6 +315,13 @@ class TestCoefficientTable:
             vf.export_coefficient_table({"volatility": model})
         )
         assert parsed["volatility"][(0, 0)] == (-0.0005495, -0.001239, 0.00014)
+
+    def test_blank_lines_are_skipped(self):
+        model = self._single_model(-0.0005495, -0.001239, 0.00014)
+        text = vf.export_coefficient_table({"volatility": model})
+        header, row = text.splitlines()
+        spaced = f"{header}\n\n{row}\n\n"
+        assert vf.parse_coefficient_table(spaced) == vf.parse_coefficient_table(text)
 
     def test_absent_terms_are_blank(self):
         rng = np.random.default_rng(30)

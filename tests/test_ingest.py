@@ -239,6 +239,26 @@ class TestParsePriceCsv:
         with pytest.raises(ParseError):
             vf.parse_price_csv("Date,Close\n2011-01-03,100.0\n2011-01-04\n")
 
+
+class TestPriceSeries:
+    """The record checks what it is given when built directly, not parsed."""
+
+    DATES = (dt.date(2011, 1, 3), dt.date(2011, 1, 4), dt.date(2011, 1, 5))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equally long 1-d"):
+            vf.PriceSeries(self.DATES, [100.0, 101.0])
+
+    def test_dates_that_do_not_increase_rejected(self):
+        dates = (self.DATES[0], self.DATES[2], self.DATES[1])
+        with pytest.raises(OrderError, match=(
+                "dates must be strictly increasing, got 2011-01-05 then 2011-01-04")):
+            vf.PriceSeries(dates, [100.0, 101.0, 102.0])
+
+    def test_infinite_price_rejected(self):
+        with pytest.raises(ValueError, match="finite numbers or missing"):
+            vf.PriceSeries(self.DATES, [100.0, np.inf, 102.0])
+
     def test_output_length_equals_data_rows(self):
         rows = "\n".join(
             f"2011-01-{day:02d},{100 + day}" for day in range(1, 29)
@@ -335,6 +355,11 @@ class TestLoadConfig:
     def test_every_series_needs_a_term_set(self):
         with pytest.raises(ConfigError, match="volatility, seasonal, remainder"):
             vf.PipelineConfig(term_sets={"trend": vf.TermSet(((0, 0), (1, 0)))})
+
+    def test_term_set_for_an_unknown_series_rejected(self):
+        term_sets = {**vf.DEFAULT_TERM_SETS, "close": vf.TermSet(((0, 0),))}
+        with pytest.raises(ConfigError, match="unknown series 'close'"):
+            vf.PipelineConfig(term_sets=term_sets)
 
     def test_lag_checked_by_the_config_itself(self):
         with pytest.raises(ConfigError, match="lag"):

@@ -135,6 +135,19 @@ class TestBuildFeatureTable:
         assert table.y.tolist() == [3.0]
 
 
+class TestFeatureTable:
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="1-d and equally long"):
+            vf.FeatureTable([0.5, 1.0], [1.0, 2.0], [3.0], [1, 2])
+
+    @pytest.mark.parametrize("column", ["x", "y", "target"])
+    def test_non_finite_entry_rejected(self, column):
+        columns = {"x": [0.5, 1.0], "y": [1.0, 2.0], "target": [3.0, 4.0]}
+        columns[column] = [columns[column][0], np.nan]
+        with pytest.raises(ValueError, match=f"column '{column}' contains non-finite"):
+            vf.FeatureTable(**columns, provenance=[1, 2])
+
+
 class TestDesignMatrix:
     def test_constant_term_is_ones(self):
         table = make_table([0.0, 2.0, 5.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
@@ -1290,6 +1303,27 @@ class TestFactorizationCount:
     def test_bisquare_factors_each_solve_and_its_weighted_design(self, monkeypatch):
         model, calls = self._fit("bisquare", self.TABLE, self.TERMS, monkeypatch)
         assert model.iterations > 0 and calls == 1 + model.iterations + 1
+
+    @pytest.mark.parametrize("method", ["lar", "bisquare"])
+    def test_bad_level_is_refused_before_the_walk(self, method, monkeypatch):
+        # the start factors the design once; LAR's walk would then take an
+        # LU step, and bisquare's would factor a weighted design
+        lib = surface._scipy()
+        calls = []
+
+        def counted(name):
+            def call(*args, **kwargs):
+                if kwargs.get("lwork") != -1:
+                    calls.append(name)
+                return getattr(lib, name)(*args, **kwargs)
+            return call
+
+        counting = types.SimpleNamespace(
+            **{**vars(lib), "geqp3": counted("geqp3"), "getrf": counted("getrf")})
+        monkeypatch.setattr(surface, "_scipy", lambda: counting)
+        with pytest.raises(ValueError, match="confidence level"):
+            getattr(vf, f"fit_{method}")(self.TABLE, self.TERMS, confidence_level=1.5)
+        assert calls == ["geqp3"]
 
 
 class TestEvaluateSurface:
