@@ -5,13 +5,14 @@ Op i of ``perfbench/run.py --workload fit-batch --seed SEED`` runs
 ``run_pipeline`` for ols, lar and bisquare on input i of the seed's
 generated stream.  For each op in FIRST..LAST (inclusive) this prints one
 line: the op number, then a JSON list of the fits and outlier passes in
-call order, ``[method, iterations, converged]`` for a fit and
-``["excluded", rows]`` for an outlier pass.  A last line gives the traced
-counters perfbench reports, averaged over the range: ``irls_solves`` and
-``converged_ratio`` per method and ``excluded_rows``.  Two checkouts whose
-fits take the same paths print the same lines, so they can be compared by
-diffing the output.  The code runs against the ``src/`` and ``perfbench/``
-trees next to this script.
+call order, read from each series' ``"first_pass"``, report and
+``"model"``: ``[method, iterations, converged]`` for a fit and
+``["excluded", rows]`` for an outlier pass (0 rows when it raised
+ExclusionError).  A last line gives the traced counters perfbench reports,
+averaged over the range: ``irls_solves`` and ``converged_ratio`` per
+method and ``excluded_rows``.  Two checkouts whose fits take the same
+paths print the same lines, so they can be compared by diffing the output.
+It runs against the ``src/`` and ``perfbench/`` trees next to it.
 
 Usage: python scripts/fit_paths.py SEED FIRST LAST
 """
@@ -29,34 +30,23 @@ from volfit import surface as sf  # noqa: E402
 from volfit.ingest import PipelineConfig  # noqa: E402
 
 
+def _fit_record(model) -> list:
+    return [model.method, model.iterations, model.converged]
+
+
 def op_paths(seed: int, first: int, last: int) -> dict[int, list]:
     """The fit and outlier-pass records of each op in first..last."""
-    records = []
-    originals = {name: getattr(sf, name) for name in
-                 [f"fit_{m}" for m in sf.FIT_METHODS] + ["remove_outliers"]}
-
-    def recorded(name, record):
-        def wrapper(*args, **kwargs):
-            out = originals[name](*args, **kwargs)
-            records.append(record(out))
-            return out
-        setattr(sf, name, wrapper)
-
-    for method in sf.FIT_METHODS:
-        recorded(f"fit_{method}",
-                 lambda model, m=method: [m, model.iterations, model.converged])
-    recorded("remove_outliers", lambda out: ["excluded", len(out[1])])
     paths = {}
-    try:
-        for i in range(first, last + 1):
-            raw, _ = gen.series(seed, "fit-batch", i, (gen.BUNDLED_LENGTH,) * 2)
-            records.clear()
-            for method in sf.FIT_METHODS:
-                cli.run_pipeline(raw, PipelineConfig(fit_method=method))
-            paths[i] = list(records)
-    finally:
-        for name, fn in originals.items():
-            setattr(sf, name, fn)
+    for i in range(first, last + 1):
+        raw, _ = gen.series(seed, "fit-batch", i, (gen.BUNDLED_LENGTH,) * 2)
+        records = paths[i] = []
+        for method in sf.FIT_METHODS:
+            _, results = cli.run_pipeline(raw, PipelineConfig(fit_method=method))
+            for r in results.values():
+                excluded = len(r["report"].excluded)
+                records += [_fit_record(r["first_pass"]), ["excluded", excluded]]
+                if excluded:
+                    records.append(_fit_record(r["model"]))
     return paths
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import evaluate as ev
 from . import surface as sf
 from .decompose import DecomposedSeries, decompose, log_returns
-from .errors import ExclusionError, VolfitError
+from .errors import ExclusionError, InsufficientData, VolfitError
 from .ingest import PipelineConfig, load_config, parse_price_csv
 
 
@@ -43,11 +43,14 @@ def export_plot_data(model: sf.PolySurfaceModel, table: sf.FeatureTable,
     The surface CSV holds grid_density**2 rows (x, y, f(x, y)) spanning the
     table's observed x and y ranges, x-major; the residual CSV holds one
     (provenance index, residual) row per table row.  The grid density is
-    an integer >= 2, numpy's too; anything else raises ValueError.
+    an integer >= 2, numpy's too; anything else raises ValueError.  An
+    empty table has no ranges and raises InsufficientData.
     """
     grid_density = sf._count(grid_density, "grid density")
     if grid_density < 2:
         raise ValueError("grid density must be >= 2")
+    if not len(table):
+        raise InsufficientData("an empty table has no x and y ranges to plot")
     xs = np.linspace(float(table.x.min()), float(table.x.max()), grid_density)
     ys = np.linspace(float(table.y.min()), float(table.y.max()), grid_density)
     f = sf.evaluate_surface(model, np.repeat(xs, grid_density), np.tile(ys, grid_density))
@@ -120,7 +123,8 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
 
     Per series: build the feature table, split chronologically, fit, drop
     training outliers and refit, and report both RMSE modes.  Test rows
-    are never excluded.
+    are never excluded.  ``"first_pass"`` is the fit on all training rows,
+    ``"model"`` the reported one: the same object when none was excluded.
     """
     dec = _decompose_prices(raw_prices, config)
     # looked up at call time, so that wrappers put on surface.fit_<method> apply
@@ -130,7 +134,7 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
         terms = config.term_sets[name]
         table = sf.build_feature_table(dec.component(name), config.lag)
         train, test = ev.split_train_test(table, config.n_train)
-        model = fit(train, terms, confidence_level=config.confidence_level)
+        first_pass = model = fit(train, terms, confidence_level=config.confidence_level)
         try:
             kept, excluded = sf.remove_outliers(
                 train, model, config.outlier_threshold
@@ -144,6 +148,7 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
             "table": table,
             "train": kept,
             "test": test,
+            "first_pass": first_pass,
             "model": model,
             "report": report,
         }

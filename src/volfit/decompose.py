@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientData, WindowError
 from .ingest import PriceSeries
+from .surface import _count
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,7 @@ def moving_average_pass(series, window: int) -> np.ndarray:
     whole series with a pad zero at each end, so a wider window pads and
     sums more zeros to the same bits.
     """
+    window = _count(window, "window", WindowError)
     if window < 1 or window % 2 == 0:
         raise WindowError(f"window must be odd and >= 1, got {window}")
     values = np.asarray(series, dtype=float)
@@ -122,6 +124,7 @@ def moving_average_pass(series, window: int) -> np.ndarray:
 
 def kz_filter(series, window: int, iterations: int) -> np.ndarray:
     """Iterated moving average: each pass's output feeds the next pass."""
+    iterations = _count(iterations, "iterations", WindowError)
     if iterations < 1:
         raise WindowError(f"iterations must be >= 1, got {iterations}")
     out = np.asarray(series, dtype=float)

@@ -742,9 +742,12 @@ def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
     table whose residuals are all identical keeps every row.  Returns the
     filtered table and the provenance indices of the dropped rows; raises
     ExclusionError when dropping would leave fewer rows than model terms,
-    and ValueError unless the threshold is a number > 0 (``inf`` included).
+    InsufficientData on an empty table, and ValueError unless the threshold
+    is a number > 0 (``inf`` included).
     """
     threshold = _threshold(threshold, "threshold")
+    if not len(table):
+        raise InsufficientData("an empty table has no outliers to remove")
     residuals = table.target - evaluate_surface(model, table.x, table.y)
     absolute = np.abs(residuals)
     scale = float(_median(absolute)) / MAD_TO_SIGMA
@@ -831,11 +834,11 @@ def _exponent(text: str, error) -> int:
     return int(text)
 
 
-def _count(value, name: str) -> int:
+def _count(value, name: str, error=ValueError) -> int:
     """A non-negative integer, numpy's too, as an int; 2.0, 2.7 and True
-    raise ValueError."""
+    raise ``error``."""
     if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        raise error(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
 
 

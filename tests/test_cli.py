@@ -15,7 +15,7 @@ import pytest
 import volfit as vf
 from volfit import surface
 from volfit.cli import _write_artifacts, export_plot_data, main, run_pipeline
-from volfit.errors import ExclusionError
+from volfit.errors import ExclusionError, InsufficientData
 
 from helpers import planted_table
 
@@ -448,6 +448,12 @@ class TestExportPlotCommand:
         with pytest.raises(ValueError, match="grid density must be a non-negative integer"):
             export_plot_data(model, table, grid)
 
+    def test_empty_table_is_insufficient_data(self):
+        # it raised numpy's "zero-size array to reduction operation" ValueError
+        model, table = self._line_fit()
+        with pytest.raises(InsufficientData):
+            export_plot_data(model, table.subset(slice(0, 0)), 3)
+
     def test_numpy_grid_density_accepted(self):
         model, table = self._line_fit()
         assert export_plot_data(model, table, np.int64(3)) == \
@@ -498,6 +504,22 @@ class TestPipelineFits:
             assert result["model"] == vf.fit_lar(train, config.term_sets[name]), name
             assert np.array_equal(result["train"].provenance, train.provenance), name
             assert result["report"].excluded == (), name
+            assert result["first_pass"] is result["model"], name
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_first_pass_is_the_fit_on_every_training_row(self, method):
+        data = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
+        config = vf.PipelineConfig(fit_method=method)
+        dec, results = run_pipeline(data.read_text(encoding="utf-8"), config)
+        fit = getattr(vf, f"fit_{method}")
+        for name in vf.SERIES_NAMES:
+            table = vf.build_feature_table(dec.component(name), config.lag)
+            train, _ = vf.split_train_test(table, config.n_train)
+            result = results[name]
+            assert vf.model_to_document(result["first_pass"]) == \
+                vf.model_to_document(fit(train, config.term_sets[name])), name
+            if not result["report"].excluded:
+                assert result["first_pass"] is result["model"], name
 
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
     def test_reloaded_bounds_equal_stored_bounds(self, tmp_path, method):

@@ -157,6 +157,18 @@ class TestMovingAveragePass:
             else:
                 assert chunk.min() - 1e-9 <= out[i] <= chunk.max() + 1e-9
 
+    # 3.0 raised IndexError, "3" TypeError, and True ran as a window of 1
+    @pytest.mark.parametrize("window", [3.0, "3", True])
+    def test_window_that_is_not_an_integer_refused(self, window):
+        with pytest.raises(WindowError, match="window must be a non-negative integer"):
+            vf.moving_average_pass([1.0, 2.0, 3.0], window)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_window_keeps_its_bytes(self, kind):
+        values = np.random.default_rng(9).normal(0, 1, 50)
+        assert vf.moving_average_pass(values, kind(5)).tobytes() == \
+            vf.moving_average_pass(values, 5).tobytes()
+
 
 class TestKzFilter:
     def test_single_iteration_equals_one_pass(self):
@@ -183,6 +195,18 @@ class TestKzFilter:
     def test_even_window_propagates(self):
         with pytest.raises(WindowError):
             vf.kz_filter([1.0, 2.0], 4, 2)
+
+    # 2.0 raised TypeError and True ran one pass
+    @pytest.mark.parametrize("iterations", [2.0, True, "2"])
+    def test_iterations_that_are_not_an_integer_refused(self, iterations):
+        with pytest.raises(WindowError,
+                           match="iterations must be a non-negative integer"):
+            vf.kz_filter([1.0, 2.0, 3.0], 3, iterations)
+
+    def test_numpy_window_and_iterations_keep_their_bytes(self):
+        values = np.random.default_rng(10).normal(0, 1, 80)
+        assert vf.kz_filter(values, np.int64(7), np.int32(3)).tobytes() == \
+            vf.kz_filter(values, 7, 3).tobytes()
 
 
 class TestDecompose:

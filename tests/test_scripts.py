@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in scripts/."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 import scipy
 
+from volfit import surface
 from volfit.cli import main
+from volfit.errors import ExclusionError
 
 ROOT = Path(__file__).resolve().parent.parent
 # relative to ROOT, as the pinned hash lines name it
@@ -117,3 +120,35 @@ def test_fit_paths_keep_their_pinned_output():
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == [line for line in text.splitlines()
                                         if not line.startswith("#")]
+
+
+@pytest.fixture
+def fit_paths(monkeypatch):
+    # the script puts src/ and perfbench/ first on sys.path as it loads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "fit_paths", ROOT / "scripts" / "fit_paths.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fit_paths_record_a_refused_exclusion_as_zero_rows(fit_paths, monkeypatch):
+    # an outlier pass that raises ExclusionError keeps the first fit, and
+    # prints as a pass that excluded nothing
+    def refuse(*args, **kwargs):
+        raise ExclusionError("too few rows would remain")
+
+    monkeypatch.setattr(surface, "remove_outliers", refuse)
+    records = fit_paths.op_paths(3, 5, 5)[5]
+    assert [r[0] for r in records[::2]] == [m for m in surface.FIT_METHODS
+                                            for _ in surface.SERIES_NAMES]
+    assert records[1::2] == [["excluded", 0]] * 3 * 4
+
+
+def test_fit_paths_leave_the_surface_module_as_found(fit_paths):
+    before = dict(vars(surface))
+    fit_paths.op_paths(3, 5, 5)
+    after = vars(surface)
+    assert after.keys() == before.keys()
+    assert [name for name, value in before.items() if after[name] is not value] == []

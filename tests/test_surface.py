@@ -1522,6 +1522,12 @@ class TestRemoveOutliers:
         with pytest.raises(ExclusionError):
             vf.remove_outliers(table, model, 3.0)
 
+    def test_empty_table_is_insufficient_data(self):
+        # it raised numpy's "zero-size array to reduction operation" ValueError
+        model = vf.fit_ols(make_table([0.5, 1.0], [1.0, 2.0], [1.0, 2.0]), LINE)
+        with pytest.raises(InsufficientData):
+            vf.remove_outliers(make_table([], [], []), model, 3.0)
+
     def test_threshold_validation(self):
         table = make_table([0.5, 1.0], [1.0, 2.0], [1.0, 2.0])
         model = vf.fit_ols(table, LINE)
