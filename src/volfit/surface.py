@@ -230,36 +230,33 @@ def design_matrix(table: FeatureTable, terms: TermSet) -> np.ndarray:
 def evaluate_surface(model: PolySurfaceModel, x, y):
     """Evaluate sum of c * x**m * y**n; broadcasts over array inputs.
 
-    The sum runs from 0.0 in term order over ``_powers``' table.  A point,
+    The sum runs from 0.0 in term order over ``_powers``' chains.  A point,
     both coordinates scalars, returns a Python float with the bits it has
     inside an array: Python float products and sums round as numpy's do.
     """
     terms = model.term_set.terms
-    xs, ys = _powers(np.asarray(x, dtype=float), np.asarray(y, dtype=float), terms)
+    xs, ys = _powers(x, y, terms)
     total = 0.0
     for c, (m, n) in zip(model.coefficients, terms):
         total = total + c * xs[m] * ys[n]
     return total
 
 
-def _powers(x: np.ndarray, y: np.ndarray, terms) -> tuple[dict, dict]:
-    """Each distinct ``x ** m`` and ``y ** n`` of the terms' (m, n) pairs,
-    taken once through the ``np.power`` ufunc; ``np.float64`` scalar or
-    Python float powers do not match it bit for bit and must not replace it.
-    When x and y are both 0-d the powers are Python floats: 1.0, v and v * v
-    for 0, 1 and 2, which ``np.power`` gives exactly too, and ``float(v ** e)``
-    above; otherwise they are arrays."""
-    ms, ns = {m for m, _ in terms}, {n for _, n in terms}
-    if x.ndim or y.ndim:
-        return {m: x ** m for m in ms}, {n: y ** n for n in ns}
-    tables = []
-    for v, exponents in ((x, ms), (y, ns)):
-        f = float(v)
-        powers = {0: 1.0, 1: f, 2: f * f}
-        for e in exponents - powers.keys():
-            powers[e] = float(v ** e)
-        tables.append(powers)
-    return tuple(tables)
+def _powers(x, y, terms) -> list[list]:
+    """The chains ``[v**0, v**1, ...]`` for v = x and v = y, each up to its
+    largest exponent in the terms' (m, n) pairs, by products: v**0 = 1 and
+    v**e = v**(e - 1) * v.  A 0-d coordinate gives Python floats, any other
+    arrays of its shape.  An IEEE product rounds alike in both and on every
+    CPU; numpy's power ufunc has SIMD loops that round some cubes and fifth
+    powers otherwise than libm."""
+    chains = []
+    for v, top in zip((x, y), map(max, zip(*terms))):
+        v = np.asarray(v, dtype=float)
+        v, chain = (v, [np.ones(v.shape)]) if v.ndim else (float(v), [1.0])
+        for _ in range(top):
+            chain.append(chain[-1] * v)
+        chains.append(chain)
+    return chains
 
 
 def _scipy_extension(package: str, name: str):
@@ -743,11 +740,13 @@ def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
     filtered table and the provenance indices of the dropped rows; raises
     ExclusionError when dropping would leave fewer rows than model terms,
     InsufficientData on an empty table, and ValueError unless the threshold
-    is a number > 0 (``inf`` included).
+    is a number > 0.  ``inf`` keeps every row, the surface's own too.
     """
     threshold = _threshold(threshold, "threshold")
     if not len(table):
         raise InsufficientData("an empty table has no outliers to remove")
+    if threshold == math.inf:
+        return table, ()
     residuals = table.target - evaluate_surface(model, table.x, table.y)
     absolute = np.abs(residuals)
     scale = float(_median(absolute)) / MAD_TO_SIGMA

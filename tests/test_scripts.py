@@ -1,6 +1,8 @@
 """Smoke tests of the scripts in scripts/."""
 
+import ctypes
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
@@ -22,6 +24,42 @@ ROOT = Path(__file__).resolve().parent.parent
 BUNDLED = "data/synthetic_vix.csv"
 PINNED_HASHES = ROOT / "tests" / "data" / "artifact_hashes.txt"
 PINNED_FIT_PATHS = ROOT / "tests" / "data" / "fit_paths.txt"
+
+
+def _openblas_cores() -> tuple[str, str]:
+    """The OpenBLAS kernel cores of scipy's LAPACK, whose extension
+    ``surface._scipy()`` loads, and of numpy's BLAS, as each library names
+    them: they set the bits of a factorization.  A library that cannot say
+    reads as ``unknown``."""
+    surface._scipy()
+    cores = []
+    for module, symbol in [("scipy.linalg._flapack", "scipy_openblas_get_corename"),
+                           ("numpy._core._multiarray_umath",
+                            "scipy_openblas_get_corename64_")]:
+        try:
+            path = importlib.import_module(module).__file__
+            corename = getattr(ctypes.CDLL(path), symbol)
+        except (ImportError, OSError, AttributeError):
+            cores.append("unknown")
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        cores.append(corename().decode())
+    return tuple(cores)
+
+
+def _skip_unless_pinned_here(text: str, what: str, cores: bool) -> None:
+    """Skip unless the pinned file's header names these numpy and scipy
+    versions and, with ``cores``, these OpenBLAS cores."""
+    labels = ["numpy", "scipy"]
+    pinned = re.search(r"^# numpy (\S+) scipy (\S+)$", text, re.MULTILINE).groups()
+    here = (np.__version__, scipy.__version__)
+    if cores:
+        labels += ["scipy's OpenBLAS core", "numpy's OpenBLAS core"]
+        pinned += re.search(r"^# openblas (\S+) (\S+)$", text, re.MULTILINE).groups()
+        here += _openblas_cores()
+    if pinned != here:
+        pytest.skip(f"{what} pinned under {', '.join(map(' '.join, zip(labels, pinned)))}"
+                    f"; here {', '.join(map(' '.join, zip(labels, here)))}")
 
 
 @pytest.fixture(scope="module")
@@ -54,30 +92,37 @@ def test_artifact_hashes_cover_every_artifact(tmp_path, bundled_hash_lines):
 
 def test_artifacts_keep_their_pinned_bytes(bundled_hash_lines):
     # a change that is meant to alter an artifact rewrites the pinned file
-    # in its own diff; LAPACK and numpy builds may round differently, so the
-    # file holds only for the versions it names
+    # in its own diff; numpy and scipy builds and OpenBLAS's kernels may
+    # round differently, so the file holds only for the versions and cores
+    # it names
     text = PINNED_HASHES.read_text()
-    pinned = re.search(r"^# numpy (\S+) scipy (\S+)$", text, re.MULTILINE).groups()
-    if pinned != (np.__version__, scipy.__version__):
-        pytest.skip(f"hashes pinned under numpy {pinned[0]} and scipy {pinned[1]}, "
-                    f"not numpy {np.__version__} and scipy {scipy.__version__}")
+    _skip_unless_pinned_here(text, "hashes", cores=True)
     assert bundled_hash_lines == [line for line in text.splitlines()
                                   if not line.startswith("#")]
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_artifact_bytes_do_not_depend_on_blas_threads(threads):
+@pytest.mark.parametrize("setting", ["1", "3", "numpy-simd-off"])
+def test_artifact_bytes_do_not_depend_on_blas_threads(setting):
     # numpy's BLAS and the p x p LAPACK solves run on this many threads, the
-    # QR factorizations on one; the pinned hashes hold for any count
+    # QR factorizations on one; the pinned hashes hold for any count.  They
+    # hold too with numpy's SIMD dispatch off, as surface powers are taken by
+    # products, which round alike in every loop
     text = PINNED_HASHES.read_text()
-    pinned = re.search(r"^# numpy (\S+) scipy (\S+)$", text, re.MULTILINE).groups()
-    if pinned != (np.__version__, scipy.__version__):
-        pytest.skip(f"hashes pinned under numpy {pinned[0]} and scipy {pinned[1]}, "
-                    f"not numpy {np.__version__} and scipy {scipy.__version__}")
+    _skip_unless_pinned_here(text, "hashes", cores=True)
+    if setting == "numpy-simd-off":
+        # every SIMD target numpy dispatches to on this CPU; numpy refuses to
+        # disable a target it did not dispatch
+        umath = np._core._multiarray_umath
+        targets = " ".join(target for target in umath.__cpu_dispatch__
+                           if umath.__cpu_features__.get(target))
+        if not targets:
+            pytest.skip("numpy dispatches to no SIMD target on this CPU")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": targets}
+    else:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": setting}
     proc = subprocess.run(
         [sys.executable, "scripts/artifact_hashes.py", BUNDLED], cwd=ROOT,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-        capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.splitlines() == [line for line in text.splitlines()
                                         if not line.startswith("#")]
@@ -111,10 +156,7 @@ def test_fit_paths_keep_their_pinned_output():
     # reweighting or outlier pass.  Pinned, like the hashes, for the numpy
     # and scipy versions the header names
     text = PINNED_FIT_PATHS.read_text()
-    pinned = re.search(r"^# numpy (\S+) scipy (\S+)$", text, re.MULTILINE).groups()
-    if pinned != (np.__version__, scipy.__version__):
-        pytest.skip(f"fit paths pinned under numpy {pinned[0]} and scipy {pinned[1]}, "
-                    f"not numpy {np.__version__} and scipy {scipy.__version__}")
+    _skip_unless_pinned_here(text, "fit paths", cores=False)
     argv = re.match(r"# python (scripts/fit_paths\.py [\d ]+)\n", text)[1].split()
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT,
                           capture_output=True, text=True, check=True)

@@ -176,11 +176,15 @@ class TestDesignMatrix:
 
     @pytest.mark.parametrize("name", surface.SERIES_NAMES)
     def test_default_terms_have_the_bits_of_per_term_powers(self, name):
+        # the reference power is the product chain 1 * v * ... * v of Python
+        # floats, which rounds alike on every CPU
         rng = np.random.default_rng(23)
         x, y = rng.uniform(0, 1, 300), rng.normal(0, 3, 300)
         y[:4] = [0.0, -0.0, 1e-200, -1e150]
         terms = vf.DEFAULT_TERM_SETS[name]
-        reference = np.column_stack([x ** m * y ** n for m, n in terms.terms])
+        reference = np.array([[math.prod([a] * m) * math.prod([b] * n)
+                               for m, n in terms.terms]
+                              for a, b in zip(x.tolist(), y.tolist())])
         X = vf.design_matrix(make_table(x, y, np.zeros(300)), terms)
         assert X.tobytes() == reference.tobytes()
 
@@ -736,24 +740,30 @@ class TestFitBisquare:
 
     @pytest.mark.parametrize("text, n, seed", [
         ("0:0,1:0", 3, 0),
-        ("0:0,0:1,1:0", 4, 49),
+        ("0:0,0:1,1:0", 4, 2809),
         ("0:0,0:1,1:0", 5, 27),
-        ("0:0,0:1,0:2,1:0,1:1", 6, 1),
-        ("0:0,0:1,0:2,1:0,1:1", 7, 63),
+        ("0:0,0:1,0:2,1:0,1:1", 6, 352),
+        ("0:0,0:1,0:2,1:0,1:1", 7, 1004),
         ("0:0,0:1,0:2,1:0,1:1,1:2,2:0,2:1,3:0", 13, 18),
     ])
     def test_small_table_with_too_few_weighted_rows(self, text, n, seed):
         # p < n < 2p and the end weights keep fewer than p rows: the
-        # end-weighted design is rank deficient, so the bounds are unweighted
+        # end-weighted design is rank deficient, so the bounds are unweighted.
+        # Each table ends the same way on OpenBLAS's SkylakeX, Haswell, Zen,
+        # Sandybridge and Prescott kernels, and each dropped row clears
+        # |u| = 1 by a margin that their rounding does not cross
         terms = vf.TermSet.parse(text)
         rng = np.random.default_rng([seed, n, len(terms)])
         table = make_table(np.linspace(1 / n, 1, n), rng.uniform(0.5, 2, n),
                            rng.standard_t(1, n))
         model = vf.fit_bisquare(table, terms)
         X = vf.design_matrix(table, terms)
-        w = surface._tukey_weights(table.target - X @ np.array(model.coefficients))
+        r = table.target - X @ np.array(model.coefficients)
+        w = surface._tukey_weights(r)
+        u = r / (surface.BISQUARE_CONSTANT * surface._mad_sigma(r))
         assert len(terms) < n < 2 * len(terms)
         assert np.count_nonzero(w) < len(terms)
+        assert np.all(np.abs(u[w == 0.0]) > 1.1)
         assert model.bounds == _scipy_t_bounds(X, np.ones(n), model.sigma,
                                                model.coefficients, 0.95)
 
@@ -1559,6 +1569,19 @@ class TestRemoveOutliers:
     def test_infinite_threshold_keeps_every_row(self, threshold):
         table, model = self._line_fit(0.1)
         kept, excluded = vf.remove_outliers(table, model, threshold)
+        assert kept is table and excluded == ()
+
+    def test_infinite_threshold_keeps_rows_off_an_exact_fit(self):
+        # most rows lie on the line, so the residual scale is 0 and row 5
+        # standardizes to infinity; it was dropped even at an infinite
+        # threshold
+        x = np.linspace(0.1, 1, 9)
+        target = 2.0 * x + 1.0
+        target[5] += 5.0
+        table = make_table(x, np.zeros(9), target)
+        model = vf.fit_lar(table, LINE)
+        assert vf.remove_outliers(table, model, 3.0)[1] == (6,)
+        kept, excluded = vf.remove_outliers(table, model, math.inf)
         assert kept is table and excluded == ()
 
     # float16 and float32 warned "overflow encountered in cast" when compared
