@@ -16,6 +16,7 @@ reruns on the same inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -113,9 +114,29 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
 
 
 def _decompose_prices(raw_prices: str, config: PipelineConfig) -> DecomposedSeries:
-    """Parse the price CSV, take log returns and decompose them."""
-    prices = parse_price_csv(raw_prices, config)
-    return decompose(log_returns(prices), config.kz_trend, config.kz_seasonal)
+    """Parse the price CSV, take log returns and decompose them.
+
+    The decomposition of the last call is kept and handed out again while
+    the text and the three fields it depends on stay the same, so its
+    arrays are read-only.
+    """
+    return _decomposition(raw_prices, config.price_column,
+                          tuple(config.kz_trend), tuple(config.kz_seasonal))
+
+
+@functools.lru_cache(maxsize=1)
+def _decomposition(raw_prices: str, price_column: str | None,
+                   kz_trend: tuple[int, int],
+                   kz_seasonal: tuple[int, int]) -> DecomposedSeries:
+    # the three steps are looked up at call time, so that wrappers put on
+    # cli's names see every miss; a call that raises caches nothing
+    config = PipelineConfig(price_column=price_column, kz_trend=kz_trend,
+                            kz_seasonal=kz_seasonal)
+    dec = decompose(log_returns(parse_price_csv(raw_prices, config)),
+                    kz_trend, kz_seasonal)
+    for values in (dec.original.values, dec.trend, dec.seasonal, dec.remainder):
+        values.flags.writeable = False
+    return dec
 
 
 def run_pipeline(raw_prices: str, config: PipelineConfig):
@@ -125,6 +146,8 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
     training outliers and refit, and report both RMSE modes.  Test rows
     are never excluded.  ``"first_pass"`` is the fit on all training rows,
     ``"model"`` the reported one: the same object when none was excluded.
+    The decomposition may be the one an earlier call on the same text
+    returned; its arrays are read-only.
     """
     dec = _decompose_prices(raw_prices, config)
     # looked up at call time, so that wrappers put on surface.fit_<method> apply

@@ -54,4 +54,4 @@ class SplitError(VolfitError):
 
 
 class ExclusionError(VolfitError):
-    """Outlier exclusion would leave fewer rows than model terms."""
+    """Outlier exclusion would leave no more rows than model terms."""

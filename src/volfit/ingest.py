@@ -118,10 +118,11 @@ class PipelineConfig:
             if not isinstance(terms, TermSet):
                 raise ConfigError(
                     f"term_sets[{name!r}] must be a TermSet, got {terms!r}")
-            if self.n_train < len(terms):
+            # a train RMSE divides by n - p, so n_train must exceed p
+            if self.n_train <= len(terms):
                 raise ConfigError(
-                    f"n_train={self.n_train} is below the {len(terms)} terms "
-                    f"configured for {name}"
+                    f"n_train={self.n_train} does not exceed the {len(terms)} "
+                    f"terms configured for {name}"
                 )
         missing = [name for name in SERIES_NAMES if name not in self.term_sets]
         if missing:

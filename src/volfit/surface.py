@@ -738,7 +738,8 @@ def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
     The scale is the median of |r| over 0.6745, taken about zero so that a
     table whose residuals are all identical keeps every row.  Returns the
     filtered table and the provenance indices of the dropped rows; raises
-    ExclusionError when dropping would leave fewer rows than model terms,
+    ExclusionError when dropping would leave no more rows than model terms
+    (a refit on p rows interpolates them and has no residual scale),
     InsufficientData on an empty table, and ValueError unless the threshold
     is a number > 0.  ``inf`` keeps every row, the surface's own too.
     """
@@ -757,9 +758,9 @@ def remove_outliers(table: FeatureTable, model: PolySurfaceModel,
         keep = absolute == 0.0
     if np.all(keep):
         return table, ()
-    if int(np.count_nonzero(keep)) < len(model.term_set):
+    if int(np.count_nonzero(keep)) <= len(model.term_set):
         raise ExclusionError(
-            "outlier exclusion would leave fewer rows than model terms"
+            "outlier exclusion would leave no more rows than model terms"
         )
     excluded = tuple(int(t) for t in table.provenance[~keep])
     return table.subset(keep), excluded

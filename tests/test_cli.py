@@ -2,6 +2,7 @@
 
 import datetime as dt
 import errno
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,11 +14,14 @@ import numpy as np
 import pytest
 
 import volfit as vf
-from volfit import surface
+from volfit import cli, surface
 from volfit.cli import _write_artifacts, export_plot_data, main, run_pipeline
-from volfit.errors import ExclusionError, InsufficientData
+from volfit.errors import ExclusionError, InsufficientData, ParseError
 
 from helpers import planted_table
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = ROOT / "data" / "synthetic_vix.csv"
 
 SMALL_CONFIG = (
     "kz_trend_window = 15\n"
@@ -95,7 +99,7 @@ class TestDecomposeCommand:
         assert "ConfigError" in capsys.readouterr().err
 
     def test_bundled_file_row_count(self, tmp_path):
-        data = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
+        data = BUNDLED
         rc = run_cli("decompose", "--input", data, "--out-dir", tmp_path)
         assert rc == 0
         lines = (tmp_path / "decomposition.csv").read_text().splitlines()
@@ -506,9 +510,27 @@ class TestPipelineFits:
             assert result["report"].excluded == (), name
             assert result["first_pass"] is result["model"], name
 
+    def test_outlier_pass_that_would_leave_p_rows_keeps_every_row(self):
+        # LAR on three training rows with two terms interpolates two of them;
+        # dropping the third left a refit on p rows, whose report raised
+        # DegreesOfFreedomError for want of a train RMSE
+        line = vf.TermSet(((0, 0), (1, 0)))
+        config = vf.PipelineConfig(fit_method="lar", n_train=3,
+                                   term_sets=dict.fromkeys(vf.SERIES_NAMES, line))
+        _, results = run_pipeline(BUNDLED.read_text(encoding="utf-8"), config)
+        for name in vf.SERIES_NAMES:
+            result = results[name]
+            with pytest.raises(ExclusionError):
+                vf.remove_outliers(result["train"], result["first_pass"],
+                                   config.outlier_threshold)
+            assert result["model"] is result["first_pass"], name
+            assert result["report"].excluded == (), name
+            assert result["report"].n_train == 3, name
+            assert result["report"].train_rmse > 0.0, name
+
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
     def test_first_pass_is_the_fit_on_every_training_row(self, method):
-        data = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
+        data = BUNDLED
         config = vf.PipelineConfig(fit_method=method)
         dec, results = run_pipeline(data.read_text(encoding="utf-8"), config)
         fit = getattr(vf, f"fit_{method}")
@@ -525,7 +547,7 @@ class TestPipelineFits:
     def test_reloaded_bounds_equal_stored_bounds(self, tmp_path, method):
         # the model documents `fit` writes are the whole of each model: read
         # back from disk they give the pipeline's bounds bit for bit
-        data = Path(__file__).resolve().parent.parent / "data" / "synthetic_vix.csv"
+        data = BUNDLED
         rc = run_cli("fit", "--input", data, "--method", method,
                      "--out-dir", tmp_path)
         assert rc == 0
@@ -539,6 +561,122 @@ class TestPipelineFits:
             assert loaded == model, name
 
 
+def fit_documents(results) -> dict:
+    """The nine ``volfit fit`` documents for one ``run_pipeline`` result."""
+    documents = {}
+    for name in vf.SERIES_NAMES:
+        documents[f"model_{name}.json"] = vf.model_to_document(results[name]["model"])
+        documents[f"report_{name}.json"] = vf.report_to_document(results[name]["report"])
+    models = {name: results[name]["model"] for name in vf.SERIES_NAMES}
+    documents["coefficients.csv"] = vf.coefficient_table_csv(models)
+    return documents
+
+
+class TestDecompositionCache:
+    """One parse and one decomposition serve every call on the same text
+    while ``price_column``, ``kz_trend`` and ``kz_seasonal`` stay the same."""
+
+    @pytest.fixture(autouse=True)
+    def calls(self, monkeypatch):
+        """Counts of the parses and decompositions made, from an empty cache."""
+        counts = {"parse": 0, "decompose": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_price_csv", counting("parse", cli.parse_price_csv))
+        monkeypatch.setattr(cli, "decompose", counting("decompose", cli.decompose))
+        cli._decomposition.cache_clear()
+        yield counts
+        cli._decomposition.cache_clear()
+
+    def test_three_methods_parse_and_decompose_once(self, calls):
+        raw, config = sample_prices(), vf.load_config(SMALL_CONFIG)
+        decs = [run_pipeline(raw, replace(config, fit_method=method))[0]
+                for method in vf.FIT_METHODS]
+        assert calls == {"parse": 1, "decompose": 1}
+        assert all(dec is decs[0] for dec in decs)
+
+    def test_decompose_then_fit_in_one_process_parse_once(self, workspace, calls):
+        for command in ("decompose", "fit"):
+            assert run_cli(command, "--input", workspace / "prices.csv",
+                           "--config", workspace / "volfit.cfg",
+                           "--out-dir", workspace / "out") == 0
+        assert calls == {"parse": 1, "decompose": 1}
+
+    def test_a_changed_text_recomputes(self, calls):
+        config = vf.load_config(SMALL_CONFIG)
+        first, _ = run_pipeline(sample_prices(seed=77), config)
+        second, _ = run_pipeline(sample_prices(seed=78), config)
+        assert calls == {"parse": 2, "decompose": 2}
+        assert not np.array_equal(first.original.values, second.original.values)
+
+    @pytest.mark.parametrize("field, value", [
+        ("price_column", "Close"),
+        ("kz_trend", (17, 2)),
+        ("kz_seasonal", (7, 3)),
+    ])
+    def test_a_changed_parse_or_filter_field_recomputes(self, calls, field, value):
+        raw, config = sample_prices(), vf.load_config(SMALL_CONFIG)
+        first, _ = run_pipeline(raw, config)
+        second, _ = run_pipeline(raw, replace(config, **{field: value}))
+        assert calls == {"parse": 2, "decompose": 2}
+        assert second is not first
+
+    @pytest.mark.parametrize("field, value", [
+        ("fit_method", "ols"),
+        ("n_train", 50),
+        ("lag", 2),
+        ("term_sets", {**vf.DEFAULT_TERM_SETS, "volatility": vf.TermSet(((0, 0), (1, 0)))}),
+        ("outlier_threshold", 2.5),
+        ("confidence_level", 0.9),
+        # the key holds the KZ settings as tuples
+        ("kz_trend", [15, 2]),
+    ])
+    def test_a_changed_fit_field_reuses_the_decomposition(self, calls, field, value):
+        raw, config = sample_prices(), vf.load_config(SMALL_CONFIG)
+        first, _ = run_pipeline(raw, config)
+        second, _ = run_pipeline(raw, replace(config, **{field: value}))
+        assert calls == {"parse": 1, "decompose": 1}
+        assert second is first
+
+    def test_a_text_whose_parse_raises_is_not_cached(self, calls):
+        config = vf.load_config(SMALL_CONFIG)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                run_pipeline("Date,Close\n2011-01-03,abc\n", config)
+            messages.append(str(info.value))
+        assert messages == ["row 2: cannot parse price 'abc'"] * 2
+        assert calls == {"parse": 2, "decompose": 0}
+
+    def test_the_shared_decomposition_is_read_only(self):
+        dec, _ = run_pipeline(sample_prices(), vf.load_config(SMALL_CONFIG))
+        for values in (dec.original.values, dec.trend, dec.seasonal, dec.remainder):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_documents_do_not_depend_on_the_cache(self, monkeypatch):
+        # the bundled file and the first fit-batch inputs of a perfbench seed
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        # its dataclass looks its module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, gen)
+        spec.loader.exec_module(gen)
+        texts = [BUNDLED.read_text(encoding="utf-8")] + [
+            gen.series(5, "fit-batch", i, (gen.BUNDLED_LENGTH,) * 2)[0] for i in range(3)]
+        configs = [vf.PipelineConfig(fit_method=method) for method in vf.FIT_METHODS]
+        for raw in texts:
+            kept = [fit_documents(run_pipeline(raw, config)[1]) for config in configs]
+            for config, documents in zip(configs, kept):
+                cli._decomposition.cache_clear()
+                assert fit_documents(run_pipeline(raw, config)[1]) == documents
+
+
 class TestEvaluateCommand:
     def test_prints_grid_and_summary(self, workspace, capsys):
         rc = run_cli(
@@ -550,6 +688,18 @@ class TestEvaluateCommand:
         assert out.startswith("m,series,")
         for name in vf.SERIES_NAMES:
             assert f"{name}: method=lar" in out
+
+    def test_n_train_equal_to_term_count_exits_before_fitting(self, workspace, capsys):
+        config = workspace / "volfit.cfg"
+        config.write_text(SMALL_CONFIG.replace("n_train = 40", "n_train = 2") + "".join(
+            f"terms_{name} = 0:0,1:0\n" for name in vf.SERIES_NAMES), encoding="utf-8")
+        rc = run_cli("evaluate", "--input", workspace / "prices.csv",
+                     "--config", config, "--method", "ols")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("ConfigError: n_train=2 does not exceed the 2 terms "
+                                "configured for volatility\n")
 
 
 class TestProcessEntryPoint:

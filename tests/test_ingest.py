@@ -328,6 +328,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             vf.load_config("n_train = 5\n")   # trend surface has 11 terms
 
+    def test_n_train_equal_to_term_count_rejected(self):
+        # a train RMSE divides by n_train - p, so n_train = p fitted every
+        # series before the report refused it
+        terms = "".join(f"terms_{name} = 0:0,1:0\n" for name in vf.SERIES_NAMES)
+        with pytest.raises(ConfigError,
+                           match="n_train=2 does not exceed the 2 terms configured"):
+            vf.load_config("n_train = 2\n" + terms)
+        assert vf.load_config("n_train = 3\n" + terms).n_train == 3
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             vf.load_config("window = 3\n")

@@ -1532,6 +1532,21 @@ class TestRemoveOutliers:
         with pytest.raises(ExclusionError):
             vf.remove_outliers(table, model, 3.0)
 
+    def test_exclusion_leaving_as_many_rows_as_terms_raises(self):
+        # a refit on p rows interpolates them and has no residual scale
+        table = make_table([0.1, 0.5, 1.0], np.ones(3), [1.0, 1.0, 50.0])
+        model = vf.PolySurfaceModel(
+            term_set=LINE,
+            coefficients=(1.0, 0.0),
+            bounds=((1.0, 1.0), (0.0, 0.0)),
+            method="ols",
+            n_points=3,
+            sigma=0.0,
+            iterations=0,
+        )
+        with pytest.raises(ExclusionError, match="no more rows than model terms"):
+            vf.remove_outliers(table, model, 3.0)
+
     def test_empty_table_is_insufficient_data(self):
         # it raised numpy's "zero-size array to reduction operation" ValueError
         model = vf.fit_ols(make_table([0.5, 1.0], [1.0, 2.0], [1.0, 2.0]), LINE)

@@ -2,16 +2,22 @@
 
 ``perfbench/tracer.py`` wraps volfit's public functions by module and
 attribute name, so deleting or renaming one of them breaks a traced
-benchmark run while every other test stays green.
+benchmark run while every other test stays green.  A wrapper sees a call
+only if volfit looks the function up by that name when it calls it.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from volfit import cli, surface
+from volfit.ingest import PipelineConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +52,29 @@ def test_install_then_uninstall_restores_each_original(tracer):
         recorder.uninstall()
     for (module, attr), fn in zip(targets, originals):
         assert getattr(module, attr) is fn, f"{module.__name__}.{attr}"
+
+
+def test_a_fit_batch_op_records_one_parse_and_one_decomposition(tracer):
+    # perfbench's fit-batch op: run_pipeline for each method on one text
+    # not seen before, traced as one op
+    raw = (ROOT / "data" / "synthetic_vix.csv").read_text(encoding="utf-8")
+    cli._decomposition.cache_clear()
+    recorder = tracer.Tracer()
+    recorder.install()
+    fits = Counter()
+    try:
+        recorder.op = 0
+        for method in surface.FIT_METHODS:
+            _, results = cli.run_pipeline(raw, PipelineConfig(fit_method=method))
+            fits[f"surface.fit_{method}"] = sum(1 + bool(r["report"].excluded)
+                                                for r in results.values())
+        recorder.op = None
+    finally:
+        recorder.uninstall()
+        cli._decomposition.cache_clear()
+    spans = Counter(name for name, *_ in recorder.spans)
+    assert spans["cli.run_pipeline"] == 3
+    assert spans["ingest.parse_price_csv"] == 1
+    assert spans["decompose.log_returns"] == 1
+    assert spans["decompose.decompose"] == 1
+    assert {name: spans[name] for name in fits} == fits
