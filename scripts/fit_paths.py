@@ -12,14 +12,21 @@ ExclusionError).  A last line gives the traced counters perfbench reports,
 averaged over the range: ``irls_solves`` and ``converged_ratio`` per
 method and ``excluded_rows``.  Two checkouts whose fits take the same
 paths print the same lines, so they can be compared by diffing the output.
-It runs against the ``src/`` and ``perfbench/`` trees next to it.
+It runs against the ``src/`` and ``perfbench/`` trees next to it.  Two
+``#`` lines come first: the command line, naming this script by its path
+from the repository root, and the numpy and scipy versions.  For seed 71,
+ops 0 to 11, the output is ``tests/data/fit_paths.txt`` whole.
 
 Usage: python scripts/fit_paths.py SEED FIRST LAST
 """
 
 import json
+import shlex
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -67,6 +74,9 @@ if __name__ == "__main__":
     if len(sys.argv) != 4 or not all(a.isdigit() for a in sys.argv[1:]):
         raise SystemExit(__doc__.strip().splitlines()[-1])
     seed, first, last = map(int, sys.argv[1:])
+    script = Path(__file__).resolve().relative_to(ROOT).as_posix()
+    print(f"# {shlex.join(['python', script, *sys.argv[1:]])}")
+    print(f"# numpy {np.__version__} scipy {scipy.__version__}")
     paths = op_paths(seed, first, last)
     for i, records in paths.items():
         print(i, json.dumps(records))

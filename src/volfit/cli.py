@@ -178,6 +178,29 @@ def run_pipeline(raw_prices: str, config: PipelineConfig):
     return dec, results
 
 
+def fit_artifacts(results) -> dict[str, str]:
+    """The nine ``volfit fit`` documents for one ``run_pipeline`` result, by
+    file name: each series' model and report, then the coefficient table."""
+    artifacts = {}
+    for name in sf.SERIES_NAMES:
+        artifacts[f"model_{name}.json"] = sf.model_to_document(results[name]["model"])
+        artifacts[f"report_{name}.json"] = ev.report_to_document(results[name]["report"])
+    models = {name: results[name]["model"] for name in sf.SERIES_NAMES}
+    artifacts["coefficients.csv"] = ev.coefficient_table_csv(models)
+    return artifacts
+
+
+def plot_artifacts(models, tables, grid: int) -> dict[str, str]:
+    """The eight ``volfit export-plot`` files, by file name: each series'
+    surface grid and residuals for its model and table."""
+    artifacts = {}
+    for name in sf.SERIES_NAMES:
+        surface, residuals = export_plot_data(models[name], tables[name], grid)
+        artifacts[f"surface_{name}.csv"] = surface
+        artifacts[f"residuals_{name}.csv"] = residuals
+    return artifacts
+
+
 def _cmd_decompose(args) -> int:
     dec = _decompose_prices(*_load_inputs(args))
     _write_artifacts(_out_dir(args), {"decomposition.csv": decomposition_csv(dec)})
@@ -185,15 +208,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    raw_prices, config = _load_inputs(args)
-    _, results = run_pipeline(raw_prices, config)
-    artifacts: dict[str, str] = {}
-    for name in sf.SERIES_NAMES:
-        artifacts[f"model_{name}.json"] = sf.model_to_document(results[name]["model"])
-        artifacts[f"report_{name}.json"] = ev.report_to_document(results[name]["report"])
-    models = {name: results[name]["model"] for name in sf.SERIES_NAMES}
-    artifacts["coefficients.csv"] = ev.coefficient_table_csv(models)
-    _write_artifacts(_out_dir(args), artifacts)
+    _, results = run_pipeline(*_load_inputs(args))
+    _write_artifacts(_out_dir(args), fit_artifacts(results))
     return 0
 
 
@@ -211,8 +227,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    raw_prices, config = _load_inputs(args)
-    _, results = run_pipeline(raw_prices, config)
+    _, results = run_pipeline(*_load_inputs(args))
     models = {name: results[name]["model"] for name in sf.SERIES_NAMES}
     print(ev.export_coefficient_table(models), end="")
     for name in sf.SERIES_NAMES:
@@ -230,16 +245,10 @@ def _cmd_export_plot(args) -> int:
     # refused before the prices are read and fitted; export_plot_data checks again
     if args.grid < 2:
         raise ValueError("grid density must be >= 2")
-    raw_prices, config = _load_inputs(args)
-    _, results = run_pipeline(raw_prices, config)
-    artifacts: dict[str, str] = {}
-    for name in sf.SERIES_NAMES:
-        surface_csv, residual_csv = export_plot_data(
-            results[name]["model"], results[name]["train"], args.grid
-        )
-        artifacts[f"surface_{name}.csv"] = surface_csv
-        artifacts[f"residuals_{name}.csv"] = residual_csv
-    _write_artifacts(_out_dir(args), artifacts)
+    _, results = run_pipeline(*_load_inputs(args))
+    models = {name: r["model"] for name, r in results.items()}
+    tables = {name: r["train"] for name, r in results.items()}
+    _write_artifacts(_out_dir(args), plot_artifacts(models, tables, args.grid))
     return 0
 
 

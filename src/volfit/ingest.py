@@ -146,8 +146,10 @@ def load_config(raw_text: str) -> PipelineConfig:
     plain ASCII, as ``int()`` and ``float()`` read them, without ``_``.
     """
     raw: dict[str, str] = {}
-    # a leading byte-order mark is dropped, as ``parse_price_csv`` drops it
-    for lineno, line in enumerate(raw_text.lstrip("\ufeff").splitlines(), start=1):
+    # as in ``parse_price_csv``, a leading byte-order mark is dropped and
+    # lines end at \r\n, \r or \n only, not at a form feed or U+2028
+    lines = io.StringIO(raw_text.lstrip("\ufeff"), newline="")
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

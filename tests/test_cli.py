@@ -209,14 +209,7 @@ class TestFitCommand:
                            "--out-dir", workspace / out) == 0
         raw = prices.read_text(encoding="utf-8")
         _, results = run_pipeline(raw, replace(vf.load_config(SMALL_CONFIG), lag=2))
-        library = {}
-        for name in vf.SERIES_NAMES:
-            model, report = results[name]["model"], results[name]["report"]
-            library[f"model_{name}.json"] = vf.model_to_document(model)
-            library[f"report_{name}.json"] = vf.report_to_document(report)
-        assert len(library) == 8
-        library["coefficients.csv"] = vf.coefficient_table_csv(
-            {name: results[name]["model"] for name in vf.SERIES_NAMES})
+        library = cli.fit_artifacts(results)
         for name in FIT_ARTIFACTS:
             flag, key, lag1 = (
                 (workspace / out / name).read_text(encoding="utf-8")
@@ -560,16 +553,23 @@ class TestPipelineFits:
             assert loaded.bounds == model.bounds, name
             assert loaded == model, name
 
-
-def fit_documents(results) -> dict:
-    """The nine ``volfit fit`` documents for one ``run_pipeline`` result."""
-    documents = {}
-    for name in vf.SERIES_NAMES:
-        documents[f"model_{name}.json"] = vf.model_to_document(results[name]["model"])
-        documents[f"report_{name}.json"] = vf.report_to_document(results[name]["report"])
-    models = {name: results[name]["model"] for name in vf.SERIES_NAMES}
-    documents["coefficients.csv"] = vf.coefficient_table_csv(models)
-    return documents
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_commands_write_the_builders_strings(self, tmp_path, method):
+        # fit and export-plot write exactly the files cli's builders return
+        for command in (["fit"], ["export-plot", "--grid", 25]):
+            assert run_cli(*command, "--input", BUNDLED, "--method", method,
+                           "--out-dir", tmp_path / command[0]) == 0
+        _, results = run_pipeline(BUNDLED.read_text(encoding="utf-8"),
+                                  vf.PipelineConfig(fit_method=method))
+        models = {name: r["model"] for name, r in results.items()}
+        tables = {name: r["train"] for name, r in results.items()}
+        fit, plot = cli.fit_artifacts(results), cli.plot_artifacts(models, tables, 25)
+        assert sorted(fit) == FIT_ARTIFACTS
+        assert len(plot) == 8
+        for out, artifacts in (("fit", fit), ("export-plot", plot)):
+            written = {path.name: path.read_bytes().decode("utf-8")
+                       for path in (tmp_path / out).iterdir()}
+            assert written == artifacts, out
 
 
 class TestDecompositionCache:
@@ -671,10 +671,10 @@ class TestDecompositionCache:
             gen.series(5, "fit-batch", i, (gen.BUNDLED_LENGTH,) * 2)[0] for i in range(3)]
         configs = [vf.PipelineConfig(fit_method=method) for method in vf.FIT_METHODS]
         for raw in texts:
-            kept = [fit_documents(run_pipeline(raw, config)[1]) for config in configs]
+            kept = [cli.fit_artifacts(run_pipeline(raw, config)[1]) for config in configs]
             for config, documents in zip(configs, kept):
                 cli._decomposition.cache_clear()
-                assert fit_documents(run_pipeline(raw, config)[1]) == documents
+                assert cli.fit_artifacts(run_pipeline(raw, config)[1]) == documents
 
 
 class TestEvaluateCommand:
@@ -710,6 +710,25 @@ class TestProcessEntryPoint:
         )
         assert proc.returncode == 0
         assert "decompose" in proc.stdout
+
+    def test_console_script_target(self, tmp_path, monkeypatch, capsys):
+        # the function pyproject.toml names for the installed `volfit`,
+        # called as its generated script calls it: with no arguments
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, function = project["project"]["scripts"]["volfit"].partition(":")
+        entry = getattr(importlib.import_module(module), function)
+        monkeypatch.setattr(sys, "argv", ["volfit", "--help"])
+        with pytest.raises(SystemExit) as excinfo:
+            entry()
+        assert excinfo.value.code == 0
+        assert "export-plot" in capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["volfit", "fit", "--input", str(BUNDLED),
+                                          "--out-dir", str(tmp_path)])
+        assert entry() == 0
+        _, results = run_pipeline(BUNDLED.read_text(encoding="utf-8"), vf.PipelineConfig())
+        assert {path.name: path.read_bytes().decode("utf-8")
+                for path in tmp_path.iterdir()} == cli.fit_artifacts(results)
 
     @staticmethod
     def _fresh_modules(code):

@@ -308,6 +308,16 @@ class TestLoadConfig:
         text = "n_train = 100\nlag = 2\n"
         assert vf.load_config("\ufeff" + text) == vf.load_config(text)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+    @pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"])
+    def test_lines_are_counted_as_the_file_has_them(self, char, newline):
+        # str.splitlines broke a line at a form feed, U+0085 or U+2028 too,
+        # so 'bogus' on line 3 was reported on line 4
+        text = f"n_train = 1500{char}{newline}lag = 2{newline}"
+        assert vf.load_config(text) == vf.PipelineConfig(n_train=1500, lag=2)
+        with pytest.raises(ConfigError, match="^line 3: expected 'key = value'"):
+            vf.load_config(text + "bogus" + newline)
+
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
             vf.load_config("kz_trend_window = 4\n")

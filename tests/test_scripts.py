@@ -1,8 +1,6 @@
 """Smoke tests of the scripts in scripts/."""
 
-import ctypes
 import hashlib
-import importlib
 import importlib.util
 import json
 import os
@@ -16,8 +14,9 @@ import pytest
 import scipy
 
 from volfit import surface
-from volfit.cli import main
+from volfit.cli import main, run_pipeline
 from volfit.errors import ExclusionError
+from volfit.ingest import PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 # relative to ROOT, as the pinned hash lines name it
@@ -26,25 +25,17 @@ PINNED_HASHES = ROOT / "tests" / "data" / "artifact_hashes.txt"
 PINNED_FIT_PATHS = ROOT / "tests" / "data" / "fit_paths.txt"
 
 
-def _openblas_cores() -> tuple[str, str]:
-    """The OpenBLAS kernel cores of scipy's LAPACK, whose extension
-    ``surface._scipy()`` loads, and of numpy's BLAS, as each library names
-    them: they set the bits of a factorization.  A library that cannot say
-    reads as ``unknown``."""
-    surface._scipy()
-    cores = []
-    for module, symbol in [("scipy.linalg._flapack", "scipy_openblas_get_corename"),
-                           ("numpy._core._multiarray_umath",
-                            "scipy_openblas_get_corename64_")]:
-        try:
-            path = importlib.import_module(module).__file__
-            corename = getattr(ctypes.CDLL(path), symbol)
-        except (ImportError, OSError, AttributeError):
-            cores.append("unknown")
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        cores.append(corename().decode())
-    return tuple(cores)
+def _load_script(name: str):
+    """scripts/<name>.py as a module, with sys.path left as found: the
+    scripts put src/ (and perfbench/) first on it as they load."""
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
 
 
 def _skip_unless_pinned_here(text: str, what: str, cores: bool) -> None:
@@ -56,23 +47,27 @@ def _skip_unless_pinned_here(text: str, what: str, cores: bool) -> None:
     if cores:
         labels += ["scipy's OpenBLAS core", "numpy's OpenBLAS core"]
         pinned += re.search(r"^# openblas (\S+) (\S+)$", text, re.MULTILINE).groups()
-        here += _openblas_cores()
+        here += _load_script("artifact_hashes")._openblas_cores()
     if pinned != here:
         pytest.skip(f"{what} pinned under {', '.join(map(' '.join, zip(labels, pinned)))}"
                     f"; here {', '.join(map(' '.join, zip(labels, here)))}")
 
 
+def _without_header(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
 @pytest.fixture(scope="module")
-def bundled_hash_lines():
-    proc = subprocess.run(
+def bundled_hashes():
+    """The hash script's output for the bundled file, run from the root."""
+    return subprocess.run(
         [sys.executable, "scripts/artifact_hashes.py", BUNDLED],
         cwd=ROOT, capture_output=True, text=True, check=True,
-    )
-    return proc.stdout.splitlines()
+    ).stdout
 
 
-def test_artifact_hashes_cover_every_artifact(tmp_path, bundled_hash_lines):
-    lines = bundled_hash_lines
+def test_artifact_hashes_cover_every_artifact(tmp_path, bundled_hashes):
+    lines = _without_header(bundled_hashes)
     # decompose once, then per method 9 fit files, 8 plot files, 1 stdout
     assert len(lines) == 1 + 3 * (9 + 8 + 1)
     hashes = {}
@@ -90,15 +85,14 @@ def test_artifact_hashes_cover_every_artifact(tmp_path, bundled_hash_lines):
     assert f"{BUNDLED}:decompose/decomposition.csv" in hashes
 
 
-def test_artifacts_keep_their_pinned_bytes(bundled_hash_lines):
+def test_artifacts_keep_their_pinned_bytes(bundled_hashes):
     # a change that is meant to alter an artifact rewrites the pinned file
-    # in its own diff; numpy and scipy builds and OpenBLAS's kernels may
-    # round differently, so the file holds only for the versions and cores
-    # it names
+    # in its own diff, with the script's output whole; numpy and scipy
+    # builds and OpenBLAS's kernels may round differently, so the file
+    # holds only for the versions and cores it names
     text = PINNED_HASHES.read_text()
     _skip_unless_pinned_here(text, "hashes", cores=True)
-    assert bundled_hash_lines == [line for line in text.splitlines()
-                                  if not line.startswith("#")]
+    assert bundled_hashes == text
 
 
 @pytest.mark.parametrize("setting", ["1", "3", "numpy-simd-off"])
@@ -124,8 +118,7 @@ def test_artifact_bytes_do_not_depend_on_blas_threads(setting):
         [sys.executable, "scripts/artifact_hashes.py", BUNDLED], cwd=ROOT,
         env=env, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.splitlines() == [line for line in text.splitlines()
-                                        if not line.startswith("#")]
+    assert proc.stdout == text
 
 
 def test_fit_paths_records_every_fit_of_an_op():
@@ -133,7 +126,7 @@ def test_fit_paths_records_every_fit_of_an_op():
         [sys.executable, str(ROOT / "scripts" / "fit_paths.py"), "3", "5", "5"],
         capture_output=True, text=True, check=True,
     )
-    op_line, summary = proc.stdout.splitlines()
+    op_line, summary = _without_header(proc.stdout)
     op, records = op_line.split(" ", 1)
     assert op == "5"
     records = json.loads(records)
@@ -160,19 +153,40 @@ def test_fit_paths_keep_their_pinned_output():
     argv = re.match(r"# python (scripts/fit_paths\.py [\d ]+)\n", text)[1].split()
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == [line for line in text.splitlines()
-                                        if not line.startswith("#")]
+    assert proc.stdout == text
+
+
+# per series of the bundled file: the first pass's iterations and whether
+# it converged (T or F), the rows its outlier pass excluded, and the refit's
+# iterations and convergence, none where nothing was excluded
+BUNDLED_FIT_PATHS = {
+    "ols": "0,T; 92; 0,T | 0,T; 0; none | 0,T; 8; 0,T | 0,T; 89; 0,T",
+    "lar": "17,T; 107; 12,T | 44,T; 181; 28,T | 16,T; 9; 16,T | 34,T; 108; 21,T",
+    "bisquare": "13,T; 108; 12,T | 50,F; 177; 37,T | 13,T; 9; 12,T | 13,T; 104; 11,T",
+}
+
+
+@pytest.mark.parametrize("method", BUNDLED_FIT_PATHS)
+def test_bundled_fit_paths_hold_on_every_core(method):
+    # guarded by the versions alone, like the fit-paths pin: these paths
+    # matched under every OpenBLAS core tried, so where the hash pins skip
+    # for their cores the bundled fits are still checked
+    _skip_unless_pinned_here(PINNED_FIT_PATHS.read_text(), "fit paths", cores=False)
+    _, results = run_pipeline((ROOT / BUNDLED).read_text(encoding="utf-8"),
+                              PipelineConfig(fit_method=method))
+
+    def fit(model):
+        return f"{model.iterations},{'T' if model.converged else 'F'}"
+
+    assert " | ".join(
+        f"{fit(r['first_pass'])}; {len(r['report'].excluded)}; "
+        f"{fit(r['model']) if r['report'].excluded else 'none'}"
+        for r in results.values()) == BUNDLED_FIT_PATHS[method]
 
 
 @pytest.fixture
-def fit_paths(monkeypatch):
-    # the script puts src/ and perfbench/ first on sys.path as it loads
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location(
-        "fit_paths", ROOT / "scripts" / "fit_paths.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def fit_paths():
+    return _load_script("fit_paths")
 
 
 def test_fit_paths_record_a_refused_exclusion_as_zero_rows(fit_paths, monkeypatch):
