@@ -20,6 +20,7 @@ import ctypes
 import hashlib
 import importlib
 import io
+import os
 import shlex
 import sys
 import tempfile
@@ -100,6 +101,13 @@ def hash_lines(path: str) -> list[str]:
 if __name__ == "__main__":
     if len(sys.argv) < 2 or any(arg.startswith("-") for arg in sys.argv[1:]):
         raise SystemExit(__doc__.strip().splitlines()[-1])
-    print("\n".join(header_lines(sys.argv[1:])))
-    for price_file in sys.argv[1:]:
-        print("\n".join(hash_lines(price_file)))
+    try:
+        print("\n".join(header_lines(sys.argv[1:])))
+        for price_file in sys.argv[1:]:
+            print("\n".join(hash_lines(price_file)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head``): as Python's docs advise for
+        # SIGPIPE, stdout goes to devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -21,6 +21,7 @@ Usage: python scripts/fit_paths.py SEED FIRST LAST
 """
 
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -75,9 +76,16 @@ if __name__ == "__main__":
         raise SystemExit(__doc__.strip().splitlines()[-1])
     seed, first, last = map(int, sys.argv[1:])
     script = Path(__file__).resolve().relative_to(ROOT).as_posix()
-    print(f"# {shlex.join(['python', script, *sys.argv[1:]])}")
-    print(f"# numpy {np.__version__} scipy {scipy.__version__}")
-    paths = op_paths(seed, first, last)
-    for i, records in paths.items():
-        print(i, json.dumps(records))
-    print(json.dumps(counters(paths), sort_keys=True))
+    try:
+        print(f"# {shlex.join(['python', script, *sys.argv[1:]])}")
+        print(f"# numpy {np.__version__} scipy {scipy.__version__}")
+        paths = op_paths(seed, first, last)
+        for i, records in paths.items():
+            print(i, json.dumps(records))
+        print(json.dumps(counters(paths), sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head``): as Python's docs advise for
+        # SIGPIPE, stdout goes to devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

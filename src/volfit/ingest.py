@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import math
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter, lt
@@ -214,12 +213,12 @@ def _pick_price_column(header: list[str], config: PipelineConfig) -> str:
 def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> PriceSeries:
     """Parse an OHLC-style CSV export into a price series.
 
-    The first row must be a header containing at least Date plus the
-    configured price column; cells equal to "null", "NaN", or empty are
-    recorded as missing, and the others must be ASCII numbers without ``_``.
-    Text that ``csv`` cannot read raises FormatError.  The rows are read a
-    column at a time; a file that fails a column check is walked row by
-    row to raise its first error in row order.
+    The first row must be a header naming Date and the configured price
+    column, each once; dates are ``YYYY-MM-DD``, price cells equal to
+    "null", "NaN", or empty are missing, and the others ASCII numbers
+    without ``_``.  Text that ``csv`` cannot read raises FormatError.  A
+    file that fails a check is read again a row at a time, by the same
+    reader, to raise its first error in row order.
     """
     config = config or PipelineConfig()
     reader = csv.reader(io.StringIO(raw_text, newline=""))
@@ -238,11 +237,19 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
         raise FormatError("price file has a header but no data rows")
     if "Date" not in header:
         raise FormatError(f"no Date column in header {header}")
-    date_idx = header.index("Date")
-    price_idx = header.index(_pick_price_column(header, config))
-    columns = _read_columns(rows[1:], date_idx, price_idx)
-    if columns is None:
-        _raise_first_row_error(rows[1:], date_idx, price_idx)
+    price_column = _pick_price_column(header, config)
+    for name in ("Date", price_column):
+        if header.count(name) > 1:
+            raise FormatError(f"header {header} names {name!r} more than once")
+    date_idx, price_idx = header.index("Date"), header.index(price_column)
+    data = rows[1:]
+    try:
+        columns = _read_columns(data, date_idx, price_idx, len(rows))
+    except (ParseError, OrderError):
+        # read each row with the one before it: the first bad row raises
+        for i in range(len(data)):
+            _read_columns(data[max(i - 1, 0):i + 1], date_idx, price_idx, i + 2)
+        raise
     return PriceSeries(*columns)
 
 
@@ -250,55 +257,40 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
 _MISSING_AS_NAN = dict.fromkeys(MISSING_MARKERS, "nan")
 
 
-def _read_columns(rows: list[list[str]], date_idx: int, price_idx: int):
-    """(dates, prices) read a column at a time, or None when a row is short
-    or holds a bad date, a date out of order or a bad price."""
+def _read_columns(rows: list[list[str]], date_idx: int, price_idx: int, last: int):
+    """(dates, prices) read a column at a time.  The first rule a row breaks
+    (too few cells, a bad date, a date out of order, a bad price, an
+    infinite price, checked in that order) raises its error for the last
+    row, numbered ``last``: right whenever only the last row can be bad."""
     try:
-        dates = tuple(map(dt.date.fromisoformat,
-                          map(str.strip, map(itemgetter(date_idx), rows))))
+        days = list(map(str.strip, map(itemgetter(date_idx), rows)))
         cells = list(map(str.strip, map(itemgetter(price_idx), rows)))
-        text = "".join(cells)
-        if not (_increasing(dates) and _plain(text)):
-            return None
+    except IndexError:
+        raise ParseError(f"row {last} has too few cells", row=last) from None
+    try:
+        # from Python 3.11 on, fromisoformat also reads 20110103 and
+        # 2011-W01-1; of what it reads, only YYYY-MM-DD has 10 characters
+        # with - at 4 and 7
+        joined, dashes = "".join(days), "-" * len(days)
+        if {*map(len, days)} != {10} or not joined[4::10] == joined[7::10] == dashes:
+            raise ValueError(f"Invalid isoformat string: {days[-1]!r}")
+        dates = tuple(map(dt.date.fromisoformat, days))
+    except ValueError as exc:
+        raise ParseError(f"row {last}: bad date {rows[-1][date_idx]!r}: {exc}",
+                         row=last) from exc
+    if not _increasing(dates):
+        raise OrderError(
+            f"row {last}: date {dates[-1]} does not increase past {dates[-2]}")
+    try:
+        if not _plain("".join(cells)):
+            raise ValueError("not ASCII without _")
         values = np.fromiter(map(float, map(_MISSING_AS_NAN.get, cells, cells)),
                              float, len(cells))
-    except (IndexError, ValueError):
-        return None
+    except ValueError as exc:
+        raise ParseError(f"row {last}: cannot parse price {cells[-1]!r}",
+                         row=last) from exc
     # each marker reads as NaN, so the prices are finite or missing exactly
     # when the non-finite values are as many as the markers
     if np.count_nonzero(~np.isfinite(values)) != sum(map(cells.count, MISSING_MARKERS)):
-        return None
+        raise ParseError(f"row {last}: price {cells[-1]!r} is not finite", row=last)
     return dates, values
-
-
-def _raise_first_row_error(rows: list[list[str]], date_idx: int, price_idx: int):
-    """Raise the error of the first bad row, in row order, with its row number;
-    called once ``_read_columns`` has found that some row is bad."""
-    min_cells = max(date_idx, price_idx) + 1
-    previous = None
-    for rownum, row in enumerate(rows, start=2):
-        if len(row) < min_cells:
-            raise ParseError(f"row {rownum} has too few cells", row=rownum)
-        try:
-            date = dt.date.fromisoformat(row[date_idx].strip())
-        except ValueError as exc:
-            raise ParseError(
-                f"row {rownum}: bad date {row[date_idx]!r}: {exc}", row=rownum
-            ) from exc
-        if previous is not None and date <= previous:
-            raise OrderError(
-                f"row {rownum}: date {date} does not increase past {previous}"
-            )
-        previous = date
-        cell = row[price_idx].strip()
-        if cell not in MISSING_MARKERS:
-            try:
-                value = _plain_number(cell)
-            except ValueError as exc:
-                raise ParseError(
-                    f"row {rownum}: cannot parse price {cell!r}", row=rownum
-                ) from exc
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"row {rownum}: price {cell!r} is not finite", row=rownum
-                )

@@ -160,6 +160,68 @@ class TestParserOracle:
         assert outcome[1].startswith(f"row {min(edits)}")
 
 
+class TestRowRules:
+    """Each row rule, broken in one row of the bundled file or a short one;
+    the re-read a row at a time names the bad row in full."""
+
+    # (row, its line, the error, its message): a row in the middle of the
+    # bundled file, then one next to its end
+    BROKEN_ROWS = [
+        (1500, "2016-09-29", ParseError, "row 1500 has too few cells"),
+        (1500, "2016-13-29,43.7", ParseError,
+         "row 1500: bad date '2016-13-29': month must be in 1..12"),
+        (1500, "2016-09-27,43.7", OrderError,
+         "row 1500: date 2016-09-27 does not increase past 2016-09-28"),
+        (1500, "2016-09-29,43.7x", ParseError, "row 1500: cannot parse price '43.7x'"),
+        (1500, "2016-09-29, inf", ParseError, "row 1500: price 'inf' is not finite"),
+        (2856, "2021-12-10", ParseError, "row 2856 has too few cells"),
+        (2856, " 2021-12-32 ,61.5", ParseError,
+         "row 2856: bad date ' 2021-12-32 ': day is out of range for month"),
+        (2856, "2021-12-08,61.5", OrderError,
+         "row 2856: date 2021-12-08 does not increase past 2021-12-09"),
+        (2856, "2021-12-10,1_0", ParseError, "row 2856: cannot parse price '1_0'"),
+        (2856, "2021-12-10,-Infinity", ParseError,
+         "row 2856: price '-Infinity' is not finite"),
+    ]
+
+    @pytest.mark.parametrize("row, line, error, message", BROKEN_ROWS)
+    def test_bad_row_of_the_bundled_file(self, row, line, error, message):
+        lines = BUNDLED.read_text().splitlines()
+        lines[row - 1] = line
+        with pytest.raises(error) as excinfo:
+            vf.parse_price_csv("\n".join(lines) + "\n")
+        assert str(excinfo.value) == message
+        assert getattr(excinfo.value, "row", None) == (row if error is ParseError else None)
+
+    @pytest.mark.parametrize("date", ["20110104", "2011-W01-2"])
+    def test_dates_are_read_as_yyyy_mm_dd_on_every_python(self, date):
+        # date.fromisoformat reads both as 2011-01-04 from Python 3.11 on,
+        # and neither on 3.10
+        text = f"Date,Close\n2011-01-03,100.0\n{date},110.0\n2011-01-05,1\n"
+        with pytest.raises(ParseError) as excinfo:
+            vf.parse_price_csv(text)
+        assert str(excinfo.value) == (
+            f"row 3: bad date {date!r}: Invalid isoformat string: {date!r}")
+        assert excinfo.value.row == 3
+
+    @pytest.mark.parametrize("header, column, name", [
+        ("Date,Close,Close", None, "Close"),
+        ("Date,Adj Close,Close,Adj Close", None, "Adj Close"),
+        ("Date,Close,Date", None, "Date"),
+        ("Date,Open,Close,Open", "Open", "Open"),
+    ])
+    def test_header_names_date_and_the_price_column_once(self, header, column, name):
+        text = f"{header}\n2011-01-03,1,9,7\n2011-01-04,2,8,6\n"
+        with pytest.raises(FormatError) as excinfo:
+            vf.parse_price_csv(text, vf.PipelineConfig(price_column=column))
+        assert str(excinfo.value) == (
+            f"header {header.split(',')} names {name!r} more than once")
+
+    def test_other_columns_may_be_named_twice(self):
+        text = "Date,Open,Open,Close\n2011-01-03,1,9,7\n2011-01-04,2,8,6\n"
+        assert vf.parse_price_csv(text).values.tolist() == [7.0, 6.0]
+
+
 class TestParsePriceCsv:
     def test_two_rows(self):
         series = vf.parse_price_csv(SAMPLE)

@@ -156,6 +156,20 @@ def test_fit_paths_keep_their_pinned_output():
     assert proc.stdout == text
 
 
+@pytest.mark.parametrize("argv", [["scripts/fit_paths.py", "3", "5", "5"],
+                                  ["scripts/artifact_hashes.py", BUNDLED]],
+                         ids=["fit_paths", "artifact_hashes"])
+def test_scripts_end_quietly_when_the_reader_closes_early(argv):
+    # as under ``| head -1``; the read end closes before the script writes,
+    # so its first write meets a closed pipe, buffered or not
+    with subprocess.Popen([sys.executable, *argv], cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == ""
+
+
 # per series of the bundled file: the first pass's iterations and whether
 # it converged (T or F), the rows its outlier pass excluded, and the refit's
 # iterations and convergence, none where nothing was excluded

@@ -15,7 +15,7 @@ from scipy import linalg, optimize, special, stats
 
 import volfit as vf
 from volfit import surface
-from volfit.cli import run_pipeline
+from volfit.cli import fit_artifacts, run_pipeline
 from volfit.errors import (
     ExclusionError,
     FormatError,
@@ -1224,6 +1224,32 @@ class TestBlasThreads:
                    for m in vf.FIT_METHODS]
         finally:
             surface._scipy.cache_clear()
+        assert got == expect
+
+
+class TestPublicScipyImports:
+    """Where ``_scipy()`` cannot load scipy's extensions directly, it takes
+    the same routines from scipy's public imports."""
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_fits_keep_their_bytes(self, method, monkeypatch):
+        refused = []
+
+        def refuse(package, name):
+            refused.append(f"scipy.{package}.{name}")
+            raise ImportError(f"scipy.{package}.{name} refused")
+
+        text, config = BUNDLED.read_text(), vf.PipelineConfig(fit_method=method)
+        surface._scipy.cache_clear()
+        try:
+            expect = fit_artifacts(run_pipeline(text, config)[1])
+            monkeypatch.setattr(surface, "_scipy_extension", refuse)
+            surface._scipy.cache_clear()
+            got = fit_artifacts(run_pipeline(text, config)[1])
+        finally:
+            monkeypatch.undo()
+            surface._scipy.cache_clear()
+        assert refused == ["scipy.linalg._flapack", "scipy.special._ufuncs"]
         assert got == expect
 
 
