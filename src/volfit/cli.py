@@ -336,8 +336,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_negative_coordinates_as_positionals(argv))
     try:
         return args.func(args)
-    except (VolfitError, OSError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except (VolfitError, OSError, ValueError, MemoryError) as exc:
+        # numpy's allocation failure is a private MemoryError subclass
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        print(f"{kind.__name__}: {exc}", file=sys.stderr)
         return 2
 
 

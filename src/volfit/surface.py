@@ -44,11 +44,9 @@ SERIES_NAMES = ("volatility", "trend", "seasonal", "remainder")
 MAD_TO_SIGMA = 0.6745
 
 # The robust fits' constants: Tukey's bisquare c (95% efficiency at the
-# normal), bisquare's coefficient-step tolerance, and the floor of LAR's
-# bound weights in units of the ordinary start's sigma (see ``fit_lar``).
+# normal) and bisquare's coefficient-step tolerance.
 BISQUARE_CONSTANT = 4.685
 BISQUARE_TOLERANCE = 1e-8
-LAR_FLOOR = 1e-8
 # Caps on LAR's basis exchanges and bisquare's reweighted solves, read by
 # the fits at call time.
 LAR_MAX_EXCHANGES = 50
@@ -452,14 +450,13 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
     The start is the least-squares solution of the design by pivoted QR
     (RankError for a rank-deficient design).  ``walk(X, y, beta, terms)``
     takes it to the method's coefficients and returns ``(beta, iterations,
-    converged, weights)``, with the end weights W its bounds take or None.
-    The one place bounds are computed: c +- t_{1-(1-level)/2, n-p} se(c),
-    with sigma = sqrt(SSE / (n - p)) over the unweighted residuals and se
-    from sigma^2 (X'WX)^-1, factored as sqrt(W) X, or as the start's X where
-    W is None or leaves that design rank deficient.  An interpolating fit
-    (n == p) has sigma 0 and point bounds.  Raises InsufficientData for
-    n < p, and ValueError after the start and before the walk unless
-    0 < level < 1, so a rank-deficient design raises RankError first.
+    converged)``.  The one place bounds are computed, one rule for every
+    method: c +- t_{1-(1-level)/2, n-p} se(c), with sigma = sqrt(SSE / (n - p))
+    over the method's own residuals and se from sigma^2 (X'X)^-1, taken
+    from the start's factor.  An interpolating fit (n == p) has sigma 0 and
+    point bounds.  Raises InsufficientData for n < p, and ValueError after
+    the start and before the walk unless 0 < level < 1, so a rank-deficient
+    design raises RankError first.
 
     The start, the walk and the bounds run on one thread of scipy's
     OpenBLAS, set through ``_scipy().set_threads`` and restored in a
@@ -484,16 +481,12 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
         if not 0.0 < confidence_level < 1.0:
             raise ValueError(
                 f"confidence level must lie in (0, 1), got {confidence_level!r}")
-        beta, iterations, converged, weights = walk(X, y, beta, terms)
+        beta, iterations, converged = walk(X, y, beta, terms)
         coefficients = tuple(float(b) for b in beta)
         sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
         if n > p:
             residuals = y - X @ beta
             sigma = math.sqrt(float(residuals @ residuals) / (n - p))
-            if weights is not None:
-                r_w, _, _, piv_w, rank = _pivoted_qr(X, np.sqrt(weights))
-                if rank == p:
-                    r, piv = r_w, piv_w
             rinv = _r_solve(r, np.eye(p))
             variance = np.empty(p)
             variance[piv] = np.diag(rinv @ rinv.T)
@@ -515,7 +508,7 @@ def fit_ols(table: FeatureTable, terms: TermSet,
     Minimizes the summed squared residuals; sigma is sqrt(SSE / (n - p)).
     """
     return _fit("ols", table, terms, confidence_level,
-                lambda X, y, beta, terms: (beta, 0, True, None))
+                lambda X, y, beta, terms: (beta, 0, True))
 
 
 def _stable_prefix(keys: np.ndarray, size: int) -> np.ndarray:
@@ -653,17 +646,13 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
 def _lar_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
     """``fit_lar``'s walk from the start to the better of it and the vertex."""
     residuals = y - X @ beta
-    n, p = X.shape
-    sse = float(residuals @ residuals)
-    if n == p or sse == 0.0:
-        return beta, 0, True, None
-    floor = LAR_FLOOR * math.sqrt(sse / (n - p))
+    if X.shape[0] == X.shape[1] or float(residuals @ residuals) == 0.0:
+        return beta, 0, True
     vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
-    if vertex is not None:
-        at_vertex = y - X @ vertex
-        if np.sum(np.abs(at_vertex)) <= np.sum(np.abs(residuals)):
-            beta, residuals = vertex, at_vertex
-    return beta, exchanges, certified, 1.0 / np.maximum(np.abs(residuals), floor)
+    if vertex is not None and (np.sum(np.abs(y - X @ vertex))
+                               <= np.sum(np.abs(residuals))):
+        beta = vertex
+    return beta, exchanges, certified
 
 
 def fit_lar(table: FeatureTable, terms: TermSet,
@@ -679,8 +668,7 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     The coefficients solve X_B beta = y_B for the final basis B, unless the
     ordinary start has the smaller sum|r|, as it can when the cap stops the
     fit or no p rows are independent within rounding (unconverged).  A
-    start that interpolates the rows is returned at once, unweighted;
-    otherwise the bound weights are 1 / max(|r|, LAR_FLOOR * starting sigma).
+    start that interpolates the rows is returned at once.
     """
     return _fit("lar", table, terms, confidence_level, _lar_walk)
 
@@ -694,7 +682,7 @@ def _tukey_weights(residuals: np.ndarray) -> np.ndarray | None:
 
 
 def _bisquare_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
-    """``fit_bisquare``'s reweighted solves, ending with the last iterate's weights."""
+    """``fit_bisquare``'s reweighted solves from the start to the last iterate."""
     n, p = X.shape
     converged, solves = n == p, 0
     while not converged and solves < BISQUARE_MAX_SOLVES:
@@ -711,7 +699,7 @@ def _bisquare_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSe
         ref = max(float(np.max(np.abs(candidate))), np.finfo(float).tiny)
         beta = candidate
         converged = step <= BISQUARE_TOLERANCE * ref
-    return beta, solves, converged, _tukey_weights(y - X @ beta)
+    return beta, solves, converged
 
 
 def fit_bisquare(table: FeatureTable, terms: TermSet,
@@ -723,10 +711,7 @@ def fit_bisquare(table: FeatureTable, terms: TermSet,
     the residuals about their median over 0.6745, recomputed every
     iteration; points far from the surface lose all weight.  A zero
     sigma_mad means the surface already interpolates the bulk of the rows
-    and the current iterate is returned as-is, with unweighted bounds.
-    Otherwise the bounds take the final iterate's weights, or none where
-    they leave the weighted design rank deficient, as fewer than p
-    non-zero weights do.
+    and the current iterate is returned as-is.
     """
     return _fit("bisquare", table, terms, confidence_level, _bisquare_walk)
 

@@ -468,6 +468,24 @@ class TestExportPlotCommand:
         )
         assert not (workspace / "out").exists()
 
+    def test_out_of_memory_exits_2_with_one_line(self, workspace, capsys, monkeypatch):
+        # what numpy raises for a grid too large to allocate, named by its
+        # public base class
+        class ArrayMemoryError(MemoryError):
+            pass
+
+        def export_plot_data(model, table, grid):
+            raise ArrayMemoryError(f"Unable to allocate an array for grid {grid}")
+
+        monkeypatch.setattr(cli, "export_plot_data", export_plot_data)
+        rc = run_cli("export-plot", "--input", workspace / "prices.csv",
+                     "--config", workspace / "volfit.cfg",
+                     "--grid", 100000000, "--out-dir", workspace / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "MemoryError: Unable to allocate an array for grid 100000000\n")
+        assert not (workspace / "out").exists()
+
 
 class TestPipelineFits:
     @pytest.mark.parametrize("method", vf.FIT_METHODS)

@@ -460,6 +460,72 @@ class TestL1Vertex:
             assert (model.iterations, model.converged) == (0, False)
             assert model.coefficients == vf.fit_ols(table, terms).coefficients
 
+    @staticmethod
+    def _fit_with(routine, wrapper, table, terms, monkeypatch):
+        """fit_lar with ``_scipy()``'s ``routine`` replaced by ``wrapper(routine)``."""
+        lib = surface._scipy()
+        patched = types.SimpleNamespace(
+            **{**vars(lib), routine: wrapper(getattr(lib, routine))})
+        monkeypatch.setattr(surface, "_scipy", lambda: patched)
+        model = vf.fit_lar(table, terms)
+        monkeypatch.undo()
+        return model
+
+    def _assert_stopped(self, model, exchanges, cap, table, terms, monkeypatch):
+        """The fit stopped unconverged with ``exchanges`` made, at the vertex a
+        cap of ``cap`` exchanges reaches, with no larger sum|r| than the start."""
+        start = vf.fit_ols(table, terms).coefficients
+        monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", cap)
+        capped = vf.fit_lar(table, terms)
+        assert (model.iterations, model.converged) == (exchanges, False)
+        assert model.coefficients == capped.coefficients
+        assert _abs_sum(table, terms, model.coefficients) <= _abs_sum(table, terms, start)
+
+    GUARD_TERMS = vf.DEFAULT_TERM_SETS["remainder"]
+    GUARD_TABLE = _heavy_tailed_table(GUARD_TERMS, 3, 300)
+
+    def test_singular_basis_ends_the_walk_at_the_vertex_before(self, monkeypatch):
+        # the third basis is singular: two exchanges made, the second vertex kept
+        assert vf.fit_lar(self.GUARD_TABLE, self.GUARD_TERMS).iterations > 3
+
+        def third_call_singular(getrf):
+            calls = []
+
+            def call(*args, **kwargs):
+                lu, piv, info = getrf(*args, **kwargs)
+                calls.append(None)
+                return lu, piv, 1 if len(calls) == 3 else info
+            return call
+
+        model = self._fit_with("getrf", third_call_singular,
+                               self.GUARD_TABLE, self.GUARD_TERMS, monkeypatch)
+        self._assert_stopped(model, 2, 1, self.GUARD_TABLE, self.GUARD_TERMS,
+                             monkeypatch)
+
+    def test_no_moving_rows_ends_the_walk(self, monkeypatch):
+        # the direction solve follows the certificate's transposed solve; a
+        # zero second direction moves no residual, so the walk stops after
+        # one exchange, at the vertex it reached
+        assert vf.fit_lar(self.GUARD_TABLE, self.GUARD_TERMS).iterations > 3
+
+        def second_direction_zero(getrs):
+            transposed = []
+
+            def call(*args, **kwargs):
+                x, info = getrs(*args, **kwargs)
+                if kwargs.get("trans") == 1:
+                    transposed.append(None)
+                elif len(transposed) == 2:
+                    transposed.append(None)
+                    x = np.zeros_like(x)
+                return x, info
+            return call
+
+        model = self._fit_with("getrs", second_direction_zero,
+                               self.GUARD_TABLE, self.GUARD_TERMS, monkeypatch)
+        self._assert_stopped(model, 1, 1, self.GUARD_TABLE, self.GUARD_TERMS,
+                             monkeypatch)
+
     def test_two_calls_give_the_same_bits(self):
         terms = vf.DEFAULT_TERM_SETS["trend"]
         table = _heavy_tailed_table(terms, 5, 350)
@@ -708,8 +774,7 @@ class TestFitBisquare:
 
     def _end_residuals(self, table, model):
         X = vf.design_matrix(table, LINE)
-        assert model.bounds == _scipy_t_bounds(X, np.ones(len(table)), model.sigma,
-                                               model.coefficients, 0.95)
+        assert model.bounds == _scipy_t_bounds(X, model.sigma, model.coefficients, 0.95)
         return table.target - X @ np.array(model.coefficients)
 
     def test_zero_mad_ending_has_unweighted_bounds(self):
@@ -764,8 +829,7 @@ class TestFitBisquare:
         assert len(terms) < n < 2 * len(terms)
         assert np.count_nonzero(w) < len(terms)
         assert np.all(np.abs(u[w == 0.0]) > 1.1)
-        assert model.bounds == _scipy_t_bounds(X, np.ones(n), model.sigma,
-                                               model.coefficients, 0.95)
+        assert model.bounds == _scipy_t_bounds(X, model.sigma, model.coefficients, 0.95)
 
 
 class TestConfidenceBounds:
@@ -811,6 +875,65 @@ class TestConfidenceBounds:
             table = _heavy_tailed_table(terms, [seed, 17], 250)
             model = getattr(vf, f"fit_{method}")(table, terms)
             assert vf.model_from_document(vf.model_to_document(model)) == model
+
+    SCALE_CASES = [(name, seed) for name in sorted(vf.DEFAULT_TERM_SETS)
+                   for seed in range(2)]
+
+    @staticmethod
+    def _scaled_fits(method, name, seed, k):
+        """A fit of a heavy-tailed table and of the table with its target times k."""
+        terms = vf.DEFAULT_TERM_SETS[name]
+        table = _heavy_tailed_table(terms, [seed, 29], 300)
+        fit = getattr(vf, f"fit_{method}")
+        scaled = make_table(table.x, table.y, table.target * k)
+        return fit(table, terms), fit(scaled, terms)
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    @pytest.mark.parametrize("name,seed", SCALE_CASES)
+    def test_bounds_scale_exactly_with_a_power_of_two(self, method, name, seed):
+        for k in (2.0 ** -7, 2.0, 2.0 ** 10):
+            model, scaled = self._scaled_fits(method, name, seed, k)
+            assert (scaled.iterations, scaled.converged) == (
+                model.iterations, model.converged)
+            assert scaled.coefficients == tuple(c * k for c in model.coefficients)
+            assert scaled.bounds == tuple((lo * k, hi * k) for lo, hi in model.bounds)
+            assert scaled.sigma == model.sigma * k
+
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    @pytest.mark.parametrize("name,seed", SCALE_CASES)
+    def test_bounds_scale_with_the_target(self, method, name, seed):
+        # the widths and sigma scale within a few ulps; the coefficients
+        # within rounding of the solve, which the design's conditioning
+        # amplifies (OLS's move by up to ~60 ulps of the largest)
+        for k in (3.0, 100.0):
+            model, scaled = self._scaled_fits(method, name, seed, k)
+            widths = np.diff(model.bounds).ravel() * k
+            np.testing.assert_array_max_ulp(np.diff(scaled.bounds).ravel(), widths, 16)
+            np.testing.assert_array_max_ulp(scaled.sigma, model.sigma * k, 16)
+            coefficients = np.array(model.coefficients) * k
+            assert np.max(np.abs(np.array(scaled.coefficients) - coefficients)) \
+                <= 1e-10 * np.max(np.abs(coefficients))
+
+    @pytest.mark.parametrize("noise", ["t3", "normal"])
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_coverage_band(self, method, noise):
+        # terms 1, x and y with x = t/n and y ~ N(0, 1), n = 400, noise 0.1
+        # t_3 or 0.1 N(0, 1), 100 fixed-seed draws: each term's 0.95
+        # interval covers its true coefficient in at least 80% of them
+        terms = vf.TermSet(((0, 0), (1, 0), (0, 1)))
+        beta = np.array([1.0, 2.0, 0.5])
+        n, draws = 400, 100
+        fit = getattr(vf, f"fit_{method}")
+        covered = np.zeros(len(terms))
+        for draw in range(draws):
+            rng = np.random.default_rng([draw, int(noise == "normal")])
+            y = rng.standard_normal(n)
+            e = rng.standard_t(3, n) if noise == "t3" else rng.standard_normal(n)
+            x = np.arange(1, n + 1) / n
+            target = beta[0] + beta[1] * x + beta[2] * y + 0.1 * e
+            bounds = np.array(fit(make_table(x, y, target), terms).bounds)
+            covered += (bounds[:, 0] <= beta) & (beta <= bounds[:, 1])
+        assert np.all(covered / draws >= 0.8), covered / draws
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
     @pytest.mark.parametrize("method", vf.FIT_METHODS)
@@ -886,13 +1009,10 @@ def _scipy_qr_solve(X, z):
     return beta, r, piv, rank
 
 
-def _scipy_t_bounds(X, weights, sigma, coefficients, level):
+def _scipy_t_bounds(X, sigma, coefficients, level):
     """Student-t bounds from scipy's pivoted QR and triangular solve."""
     n, p = X.shape
-    for w in (weights, np.ones(n)):
-        _, r, piv, rank = _scipy_qr_solve(X * np.sqrt(w)[:, None], np.zeros(n))
-        if rank == p:
-            break
+    _, r, piv, _ = _scipy_qr_solve(X, np.zeros(n))
     rinv = linalg.solve_triangular(r, np.eye(p))
     variance = np.empty(p)
     variance[piv] = np.diag(rinv @ rinv.T)
@@ -901,14 +1021,13 @@ def _scipy_t_bounds(X, weights, sigma, coefficients, level):
     return tuple((float(c - tq * s), float(c + tq * s)) for c, s in zip(coefficients, se))
 
 
-def _fit_bounds(table, terms, weights, coefficients, residuals):
+def _fit_bounds(table, terms, coefficients, residuals):
     """The bounds and sigma ``_fit`` records for a fit of the table's design
-    that ends at these coefficients, with these residuals (within rounding)
-    and these row weights."""
+    that ends at these coefficients, with these residuals (within rounding)."""
     target = vf.design_matrix(table, terms) @ np.asarray(coefficients) + residuals
 
     def walk(X, y, beta, terms):
-        return np.asarray(coefficients), 0, True, weights
+        return np.asarray(coefficients), 0, True
 
     model = surface._fit("ols", make_table(table.x, table.y, target), terms, 0.95, walk)
     return model.bounds, model.sigma
@@ -954,8 +1073,7 @@ class TestQrKernel:
 
     @pytest.mark.parametrize("n,p", SHAPES)
     def test_unit_weights_give_the_unweighted_bits(self, n, p):
-        # so the scipy oracle can spell the start's factor, which the bounds
-        # fall back to, as the factor of unit weights
+        # a weighted solve with unit weights is the ordinary solve, bit for bit
         rng = np.random.default_rng(5000 * n + p)
         X, terms = _random_design(rng, n, p)
         z = X @ rng.standard_normal(p) + rng.standard_normal(n)
@@ -991,12 +1109,10 @@ class TestQrKernel:
         rng = np.random.default_rng(3000 * n + p)
         table, terms = _random_table(rng, n, p)
         X = vf.design_matrix(table, terms)
-        w = rng.uniform(0.0, 2.0, n)
         coefficients = tuple(rng.standard_normal(p))
         residuals = rng.standard_normal(n)
-        for weights in (w, np.ones(n)):
-            bounds, sigma = _fit_bounds(table, terms, weights, coefficients, residuals)
-            assert bounds == _scipy_t_bounds(X, weights, sigma, coefficients, 0.95)
+        bounds, sigma = _fit_bounds(table, terms, coefficients, residuals)
+        assert bounds == _scipy_t_bounds(X, sigma, coefficients, 0.95)
 
     @pytest.mark.parametrize("make", [
         lambda X: np.column_stack([X, X[:, 1]]),
@@ -1303,7 +1419,7 @@ class TestFitThreadScope:
 
 class TestFactorizationCount:
     """A fit factors its design once per solve, and its bounds reuse the
-    start's factorization unless they take weights."""
+    start's factorization."""
 
     TERMS = vf.DEFAULT_TERM_SETS["remainder"]
     TABLE = _heavy_tailed_table(TERMS, 3, 300)
@@ -1327,18 +1443,18 @@ class TestFactorizationCount:
     def test_ols_factors_once(self, monkeypatch):
         assert self._fit("ols", self.TABLE, self.TERMS, monkeypatch)[1] == 1
 
-    def test_lar_factors_its_start_and_its_weighted_design(self, monkeypatch):
+    def test_lar_factors_its_start_only(self, monkeypatch):
         model, calls = self._fit("lar", self.TABLE, self.TERMS, monkeypatch)
-        assert model.iterations > 0 and calls == 2
+        assert model.iterations > 0 and calls == 1
 
     @pytest.mark.parametrize("method", ["lar", "bisquare"])
     def test_interpolating_fit_factors_once(self, method, monkeypatch):
         table = self.TABLE.subset(slice(0, len(self.TERMS)))
         assert self._fit(method, table, self.TERMS, monkeypatch)[1] == 1
 
-    def test_bisquare_factors_each_solve_and_its_weighted_design(self, monkeypatch):
+    def test_bisquare_factors_its_start_and_each_solve(self, monkeypatch):
         model, calls = self._fit("bisquare", self.TABLE, self.TERMS, monkeypatch)
-        assert model.iterations > 0 and calls == 1 + model.iterations + 1
+        assert model.iterations > 0 and calls == 1 + model.iterations
 
     @pytest.mark.parametrize("method", ["lar", "bisquare"])
     def test_bad_level_is_refused_before_the_walk(self, method, monkeypatch):
