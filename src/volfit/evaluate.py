@@ -77,12 +77,9 @@ class FitReport:
 def split_train_test(table: FeatureTable, n_train: int):
     """First n_train rows (chronological order) for training, rest for test;
     SplitError unless n_train is an integer (numpy's too) in (0, len(table))."""
-    try:
-        if not 0 < _count(n_train, "n_train") < len(table):
-            raise ValueError(
-                f"n_train must lie strictly between 0 and {len(table)}, got {n_train}")
-    except ValueError as exc:
-        raise SplitError(str(exc)) from None
+    if not 0 < _count(n_train, "n_train", SplitError) < len(table):
+        raise SplitError(
+            f"n_train must lie strictly between 0 and {len(table)}, got {n_train}")
     return table.subset(slice(0, n_train)), table.subset(slice(n_train, None))
 
 

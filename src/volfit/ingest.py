@@ -217,8 +217,8 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
     column, each once; dates are ``YYYY-MM-DD``, price cells equal to
     "null", "NaN", or empty are missing, and the others ASCII numbers
     without ``_``.  Text that ``csv`` cannot read raises FormatError.  A
-    file that fails a check is read again a row at a time, by the same
-    reader, to raise its first error in row order.
+    file that fails a check is read again, by the same reader, in halving
+    spans until its first bad row is found, whose error is raised.
     """
     config = config or PipelineConfig()
     reader = csv.reader(io.StringIO(raw_text, newline=""))
@@ -246,9 +246,18 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
     try:
         columns = _read_columns(data, date_idx, price_idx, len(rows))
     except (ParseError, OrderError):
-        # read each row with the one before it: the first bad row raises
-        for i in range(len(data)):
-            _read_columns(data[max(i - 1, 0):i + 1], date_idx, price_idx, i + 2)
+        # data[:good] reads clean and data[:bad] does not; each probe starts
+        # at the row before its span, so the date pair across the edge is
+        # read too.  The first bad row, read with the one before it, raises
+        good, bad = 0, len(data)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                _read_columns(data[max(good - 1, 0):mid], date_idx, price_idx, mid + 1)
+                good = mid
+            except (ParseError, OrderError):
+                bad = mid
+        _read_columns(data[max(bad - 2, 0):bad], date_idx, price_idx, bad + 1)
         raise
     return PriceSeries(*columns)
 

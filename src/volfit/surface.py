@@ -355,32 +355,6 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _pivoted_qr(X: np.ndarray, sw: np.ndarray | None = None):
-    """Column-pivoted QR of X, or of ``sw[:, None] * X``: (r, qr, tau, pivot, rank).
-
-    The design is built once, owned and Fortran-ordered, as a copy of X
-    scaled in place by ``sw[:, None]`` if given (the bits of
-    ``X * sw[:, None]``), and LAPACK's geqp3 overwrites it: ``qr`` holds R
-    in its upper triangle and the Householder reflectors below it.  These
-    are the calls ``scipy.linalg.qr(X, mode="economic", pivoting=True)``
-    makes, so R and the pivot have its bits.  ``r`` is a C-ordered copy of
-    qr's first p rows, whose upper triangle is R; the caller's X is never
-    written.  Raises ValueError when the design holds a NaN or an infinity.
-    """
-    a = np.array(X, dtype=float, order="F")
-    if sw is not None:
-        a *= sw[:, None]
-    _require_finite(a)
-    qr, pivot, tau = _with_workspace(_scipy().geqp3, a, overwrite_a=1)
-    pivot -= 1
-    # an explicit copy: orgqr overwrites qr, and for p = 1 the slice is
-    # already contiguous, so np.ascontiguousarray would return a view
-    r = np.array(qr[:X.shape[1]], order="C")
-    diag = np.abs(np.diagonal(qr))
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    return r, qr, tau, pivot, int(np.count_nonzero(diag > tol))
-
-
 def _r_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve R x = b for the upper triangle R of the C-ordered ``r``.
 
@@ -396,23 +370,34 @@ def _qr_solve(X: np.ndarray, z: np.ndarray, terms: TermSet,
     """Least-squares solve via column-pivoted QR, weighted by ``w`` if given.
 
     A weighted solve is the ordinary solve of sqrt(w) X against sqrt(w) z.
-    Returns the coefficient vector and the (R, pivot) pair of the
-    factorization; only R's upper triangle is meaningful.  Raises RankError
-    naming the dependent columns when the matrix does not have full column
-    rank, and ValueError when X or z holds a NaN or an infinity.
+    The design is one owned, Fortran-ordered copy of X, scaled in place by
+    sqrt(w) (the bits of ``X * sqrt(w)[:, None]``), that LAPACK's geqp3
+    overwrites: the calls ``scipy.linalg.qr(X, mode="economic",
+    pivoting=True)`` makes, so R and the pivot have its bits; the caller's
+    X is never written.  Returns the coefficient vector and the (R, pivot)
+    pair, R C-ordered with only its upper triangle meaningful.  Raises
+    RankError naming the dependent columns when the matrix does not have
+    full column rank, and ValueError when X or z holds a NaN or an infinity.
     """
-    p = X.shape[1]
-    sw = None if w is None else np.sqrt(w)
-    r, qr, tau, piv, rank = _pivoted_qr(X, sw)
+    n, p = X.shape
+    a = np.array(X, dtype=float, order="F")
+    if w is not None:
+        sw = np.sqrt(w)
+        a *= sw[:, None]
+        z = z * sw
+    _require_finite(a)
+    qr, piv, tau = _with_workspace(_scipy().geqp3, a, overwrite_a=1)
+    piv -= 1
+    diag = np.abs(np.diagonal(qr))
+    rank = int(np.count_nonzero(diag > max(n, p) * np.finfo(float).eps * diag[0]))
     if rank < p:
         dependent = tuple(terms.labels()[j] for j in piv[rank:])
-        raise RankError(
-            "design matrix is rank deficient; dependent columns: "
-            + ", ".join(dependent),
-            columns=dependent,
-        )
+        raise RankError("design matrix is rank deficient; dependent columns: "
+                        + ", ".join(dependent), columns=dependent)
+    # always a copy (orgqr overwrites qr), even of the contiguous p = 1 slice
+    r = np.array(qr[:p], order="C")
     q, = _with_workspace(_scipy().orgqr, qr, tau, overwrite_a=1)
-    qtz = q.T @ (z if sw is None else z * sw)
+    qtz = q.T @ z
     _require_finite(qtz)
     beta = np.empty(p)
     beta[piv] = _r_solve(r, qtz)
@@ -453,10 +438,10 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
     converged)``.  The one place bounds are computed, one rule for every
     method: c +- t_{1-(1-level)/2, n-p} se(c), with sigma = sqrt(SSE / (n - p))
     over the method's own residuals and se from sigma^2 (X'X)^-1, taken
-    from the start's factor.  An interpolating fit (n == p) has sigma 0 and
-    point bounds.  Raises InsufficientData for n < p, and ValueError after
-    the start and before the walk unless 0 < level < 1, so a rank-deficient
-    design raises RankError first.
+    from the start's factor.  An interpolating design (n == p) skips the
+    walk and has sigma 0 and point bounds.  Raises InsufficientData for
+    n < p, and ValueError after the start and before the walk unless
+    0 < level < 1, so a rank-deficient design raises RankError first.
 
     The start, the walk and the bounds run on one thread of scipy's
     OpenBLAS, set through ``_scipy().set_threads`` and restored in a
@@ -481,7 +466,8 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
         if not 0.0 < confidence_level < 1.0:
             raise ValueError(
                 f"confidence level must lie in (0, 1), got {confidence_level!r}")
-        beta, iterations, converged = walk(X, y, beta, terms)
+        beta, iterations, converged = (walk(X, y, beta, terms) if n > p
+                                       else (beta, 0, True))
         coefficients = tuple(float(b) for b in beta)
         sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
         if n > p:
@@ -646,7 +632,7 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
 def _lar_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
     """``fit_lar``'s walk from the start to the better of it and the vertex."""
     residuals = y - X @ beta
-    if X.shape[0] == X.shape[1] or float(residuals @ residuals) == 0.0:
+    if float(residuals @ residuals) == 0.0:
         return beta, 0, True
     vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
     if vertex is not None and (np.sum(np.abs(y - X @ vertex))
@@ -683,8 +669,8 @@ def _tukey_weights(residuals: np.ndarray) -> np.ndarray | None:
 
 def _bisquare_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
     """``fit_bisquare``'s reweighted solves from the start to the last iterate."""
-    n, p = X.shape
-    converged, solves = n == p, 0
+    p = X.shape[1]
+    converged, solves = False, 0
     while not converged and solves < BISQUARE_MAX_SOLVES:
         w = _tukey_weights(y - X @ beta)
         converged = w is None

@@ -159,10 +159,42 @@ class TestParserOracle:
         assert outcome[0] is error and outcome[2] == row
         assert outcome[1].startswith(f"row {min(edits)}")
 
+    # one bad row's line for each rule, given the day before it and its own
+    RULE_BREAKS = {
+        "too few cells": lambda before, day: day,
+        "bad date": lambda before, day: f"{day[:8]}32,1.5",
+        "date out of order": lambda before, day: f"{before},1.5",
+        "bad price": lambda before, day: f"{day},1.5x",
+        "non-finite price": lambda before, day: f"{day},inf",
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    @pytest.mark.parametrize("rule", sorted(RULE_BREAKS))
+    def test_first_bad_row_found_at_every_probe_edge(self, n, rule):
+        # the re-read halves the span holding the first bad row; a bad row
+        # at every position meets every probe edge, so an out-of-order date
+        # whose pair straddles one is among them.  A second bad row after
+        # the first must not be the one named
+        days = [(dt.date(2011, 1, 3) + dt.timedelta(days=k)).isoformat()
+                for k in range(n + 1)]
+        # the first row has no date before it to be out of order with
+        for i in range(rule == "date out of order", n):
+            lines = [f"{day},{k + 1}.25" for k, day in enumerate(days[1:])]
+            lines[i] = self.RULE_BREAKS[rule](days[i], days[i + 1])
+            texts = ["\n".join(lines)]
+            if i < n - 1:
+                lines[-1] = f"{days[-1]},12x"
+                texts.append("\n".join(lines))
+            for text in texts:
+                text = f"Date,Close\n{text}\n"
+                outcome = _outcome(vf.parse_price_csv, text, None)
+                assert outcome == _outcome(reference_parse_price_csv, text, None)
+                assert outcome[1].startswith(f"row {i + 2}")
+
 
 class TestRowRules:
     """Each row rule, broken in one row of the bundled file or a short one;
-    the re-read a row at a time names the bad row in full."""
+    the re-read names the bad row in full."""
 
     # (row, its line, the error, its message): a row in the middle of the
     # bundled file, then one next to its end

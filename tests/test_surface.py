@@ -24,7 +24,6 @@ from volfit.errors import (
 )
 from volfit.surface import (
     _l1_vertex,
-    _pivoted_qr,
     _qr_solve,
 )
 
@@ -764,6 +763,20 @@ class TestFitBisquare:
         assert model.iterations == 0
         assert model.converged
 
+    # The walk's three early stops, told apart by the QR solves the fit
+    # runs or tries (the start's included).  Each table stops the same way,
+    # after the same solves, on OpenBLAS's SkylakeX, Haswell, Zen,
+    # Sandybridge and Prescott kernels.
+
+    @staticmethod
+    def _fit_counting_solves(table, terms, monkeypatch):
+        calls = []
+        solve = surface._qr_solve
+        monkeypatch.setattr(surface, "_qr_solve",
+                            lambda *args: calls.append(args) or solve(*args))
+        model = vf.fit_bisquare(table, terms)
+        return model, (model.iterations, model.converged, len(calls))
+
     @staticmethod
     def _line_with_outliers(shifts):
         """Nine rows on 1 + 2x, rows 1, 4 and 7 shifted by ``shifts``."""
@@ -772,64 +785,72 @@ class TestFitBisquare:
         target[[1, 4, 7]] += shifts
         return make_table(x, np.ones(9), target)
 
-    def _end_residuals(self, table, model):
-        X = vf.design_matrix(table, LINE)
-        assert model.bounds == _scipy_t_bounds(X, model.sigma, model.coefficients, 0.95)
+    @staticmethod
+    def _end_residuals(table, terms, model):
+        X = vf.design_matrix(table, terms)
         return table.target - X @ np.array(model.coefficients)
 
-    def test_zero_mad_ending_has_unweighted_bounds(self):
-        table = self._line_with_outliers([-8.0, -1.0, -1.0])
-        model = vf.fit_bisquare(table, LINE)
-        assert model.iterations > 0 and model.converged
-        assert surface._mad_sigma(self._end_residuals(table, model)) == 0.0
+    def test_zero_mad_stops_the_walk_converged(self, monkeypatch):
+        # three solves put six rows exactly on the line, so the next
+        # weights have no scale and the walk stops with its iterate
+        table = self._line_with_outliers([-8.0, 2.0, -2.0])
+        model, path = self._fit_counting_solves(table, LINE, monkeypatch)
+        assert path == (3, True, 4)
+        assert surface._tukey_weights(self._end_residuals(table, LINE, model)) is None
 
-    def test_too_few_weighted_rows_give_unweighted_bounds(self):
+    def test_too_few_weighted_rows_stop_the_walk(self, monkeypatch):
+        # after one solve only one row keeps weight, too few for two terms,
+        # and the walk stops without trying a solve
         table = self._line_with_outliers([1.0, 2.0, 3.0])
-        model = vf.fit_bisquare(table, LINE)
-        assert model.iterations > 0 and not model.converged
-        r = self._end_residuals(table, model)
-        u = r / (surface.BISQUARE_CONSTANT * surface._mad_sigma(r))
-        assert np.count_nonzero(vf.bisquare_weights(u)) < len(LINE)
+        model, path = self._fit_counting_solves(table, LINE, monkeypatch)
+        assert path == (1, False, 2)
+        w = surface._tukey_weights(self._end_residuals(table, LINE, model))
+        assert np.count_nonzero(w) < len(LINE)
 
-    def test_weighted_rows_on_one_x_give_unweighted_bounds(self):
+    def test_weighted_rows_on_one_x_stop_the_walk_on_rank(self, monkeypatch):
         # the eight rows at x = 0.5 keep weight and the four outliers lose
-        # it, so the end-weighted design of 1 and x has rank 1
+        # it, so the weighted design of 1 and x has rank 1: the first
+        # weighted solve raises RankError and the start is kept
         x = np.array([0.1, 0.2] + [0.5] * 8 + [0.8, 0.9])
         target = 1.0 + 0.01 * np.sin(np.arange(12.0))
         target[[0, 1, 10, 11]] += [20.0, -20.0, -20.0, 20.0]
         table = make_table(x, np.ones(12), target)
-        model = vf.fit_bisquare(table, LINE)
-        w = surface._tukey_weights(self._end_residuals(table, model))
+        model, path = self._fit_counting_solves(table, LINE, monkeypatch)
+        assert path == (0, False, 2)
+        assert model.coefficients == vf.fit_ols(table, LINE).coefficients
+        w = surface._tukey_weights(self._end_residuals(table, LINE, model))
         assert np.count_nonzero(w) >= len(LINE)
         assert set(x[w > 0]) == {0.5}
 
-    @pytest.mark.parametrize("text, n, seed", [
-        ("0:0,1:0", 3, 0),
-        ("0:0,0:1,1:0", 4, 2809),
-        ("0:0,0:1,1:0", 5, 27),
-        ("0:0,0:1,0:2,1:0,1:1", 6, 352),
-        ("0:0,0:1,0:2,1:0,1:1", 7, 1004),
-        ("0:0,0:1,0:2,1:0,1:1,1:2,2:0,2:1,3:0", 13, 18),
+    @pytest.mark.parametrize("text, n, seed, solves, converged", [
+        ("0:0,1:0", 3, 0, 0, False),
+        ("0:0,0:1,1:0", 4, 2809, 3, True),
+        ("0:0,0:1,1:0", 5, 27, 0, False),
+        ("0:0,0:1,0:2,1:0,1:1", 6, 352, 1, False),
+        ("0:0,0:1,0:2,1:0,1:1", 7, 1004, 4, False),
+        ("0:0,0:1,0:2,1:0,1:1,1:2,2:0,2:1,3:0", 13, 18, 14, False),
     ])
-    def test_small_table_with_too_few_weighted_rows(self, text, n, seed):
-        # p < n < 2p and the end weights keep fewer than p rows: the
-        # end-weighted design is rank deficient, so the bounds are unweighted.
-        # Each table ends the same way on OpenBLAS's SkylakeX, Haswell, Zen,
-        # Sandybridge and Prescott kernels, and each dropped row clears
-        # |u| = 1 by a margin that their rounding does not cross
+    def test_small_table_ends_with_too_few_weighted_rows(self, text, n, seed,
+                                                          solves, converged,
+                                                          monkeypatch):
+        # p < n < 2p and the weights of the last iterate keep fewer than p
+        # rows: the walk stops there unconverged without trying a solve,
+        # except on the four-row table, whose third solve meets the step
+        # tolerance first.  Each
+        # dropped row clears |u| = 1 by a margin the kernels' rounding does
+        # not cross
         terms = vf.TermSet.parse(text)
         rng = np.random.default_rng([seed, n, len(terms)])
         table = make_table(np.linspace(1 / n, 1, n), rng.uniform(0.5, 2, n),
                            rng.standard_t(1, n))
-        model = vf.fit_bisquare(table, terms)
-        X = vf.design_matrix(table, terms)
-        r = table.target - X @ np.array(model.coefficients)
+        model, path = self._fit_counting_solves(table, terms, monkeypatch)
+        assert path == (solves, converged, solves + 1)
+        r = self._end_residuals(table, terms, model)
         w = surface._tukey_weights(r)
         u = r / (surface.BISQUARE_CONSTANT * surface._mad_sigma(r))
         assert len(terms) < n < 2 * len(terms)
         assert np.count_nonzero(w) < len(terms)
         assert np.all(np.abs(u[w == 0.0]) > 1.1)
-        assert model.bounds == _scipy_t_bounds(X, model.sigma, model.coefficients, 0.95)
 
 
 class TestConfidenceBounds:
@@ -1068,7 +1089,6 @@ class TestQrKernel:
             assert beta.tobytes() == expect.tobytes()
             assert np.triu(r).tobytes() == r_expect.tobytes()
             assert np.array_equal(piv, piv_expect)
-            assert _pivoted_qr(X)[4] == rank_expect
             assert np.array_equal(X, before)
 
     @pytest.mark.parametrize("n,p", SHAPES)
@@ -1144,7 +1164,7 @@ class TestQrKernel:
         with pytest.raises(ValueError):
             _qr_solve(broken, z, terms)
         with pytest.raises(ValueError):
-            _pivoted_qr(broken, np.ones(30))
+            _qr_solve(broken, z, terms, np.ones(30))
         z[3] = bad
         with pytest.raises(ValueError):
             _qr_solve(X, z, terms)
@@ -1224,7 +1244,7 @@ class TestSolveSpellings:
 
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_weighted_solve_and_bounds_leave_the_design_unchanged(self, p, order):
+    def test_weighted_solve_leaves_the_design_unchanged(self, p, order):
         # an (n, 1) design is both C- and Fortran-contiguous, so LAPACK
         # would factor it in place if it were handed over uncopied
         rng = np.random.default_rng(10)
@@ -1234,7 +1254,6 @@ class TestSolveSpellings:
         w = rng.uniform(0.0, 2.0, 40)
         before = X.tobytes(), z.tobytes(), w.tobytes()
         _qr_solve(X, z, terms, w)
-        _pivoted_qr(X, np.sqrt(w))
         assert (X.tobytes(), z.tobytes(), w.tobytes()) == before
 
 
