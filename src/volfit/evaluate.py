@@ -13,6 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegreesOfFreedomError, FormatError, SplitError
+from .ingest import _csv_rows
 from .surface import (
     FIT_METHODS,
     SERIES_NAMES,
@@ -35,7 +36,7 @@ SERIES_LETTERS = {
     "remainder": "R",
 }
 _LETTER_SERIES = {v: k for k, v in SERIES_LETTERS.items()}
-_CELL_RE = re.compile(r"^(?P<coef>[^\s()]+) \((?P<lo>[^,()]+), (?P<hi>[^()]+)\)$")
+_CELL_RE = re.compile(r"(?P<coef>[^\s()]+) \((?P<lo>[^,()]+), (?P<hi>[^()]+)\)")
 
 
 @dataclass(frozen=True)
@@ -211,12 +212,13 @@ def parse_coefficient_table(text: str):
     """Inverse of export_coefficient_table.
 
     Returns {series_name: {(m, n): (coefficient, lower, upper)}} with the
-    exact float values that were emitted.  Raises FormatError on a cell
-    that is not "value (lower, upper)" of three finite numbers, on an
+    exact float values that were emitted.  Lines may end in ``\r\n``, ``\r``
+    or ``\n``.  Raises FormatError on text ``csv`` cannot read, on a cell
+    that is not exactly "value (lower, upper)" of three finite numbers, on an
     exponent that is not a non-negative integer, on a row longer than the
     header, on a term given twice and on a value outside its own bounds.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = _csv_rows(text, "coefficient table")
     if not rows or rows[0][:2] != ["m", "series"]:
         raise FormatError("coefficient table lacks the m,series header")
     header = rows[0]
@@ -233,7 +235,7 @@ def parse_coefficient_table(text: str):
         for n, cell in zip(ns, row[2:]):
             if not cell:
                 continue
-            match = _CELL_RE.match(cell)
+            match = _CELL_RE.fullmatch(cell)
             if match is None:
                 raise FormatError(f"cannot parse coefficient cell {cell!r}")
             terms = out.setdefault(series, {})

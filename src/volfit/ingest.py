@@ -210,6 +210,16 @@ def _pick_price_column(header: list[str], config: PipelineConfig) -> str:
     raise FormatError(f"no Close or Adj Close column in header {header}")
 
 
+def _csv_rows(text: str, what: str) -> list[list[str]]:
+    """The rows ``csv`` reads from ``text``, whose lines may end in ``\r\n``,
+    ``\r`` or ``\n``; text it cannot read raises FormatError naming ``what``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"{what} line {reader.line_num}: {exc}") from exc
+
+
 def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> PriceSeries:
     """Parse an OHLC-style CSV export into a price series.
 
@@ -221,11 +231,7 @@ def parse_price_csv(raw_text: str, config: PipelineConfig | None = None) -> Pric
     spans until its first bad row is found, whose error is raised.
     """
     config = config or PipelineConfig()
-    reader = csv.reader(io.StringIO(raw_text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise FormatError(f"price file line {reader.line_num}: {exc}") from exc
+    rows = _csv_rows(raw_text, "price file")
     # row numbers count the non-blank rows, the header being row 1; blank
     # lines (whose cells join to whitespace) are skipped uncounted, so a
     # number is not the file line

@@ -551,9 +551,8 @@ def _line_search(t: np.ndarray, weight: np.ndarray, descent: float) -> np.ndarra
         size *= 4
 
 
-def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
-               max_exchanges: int):
-    """Barrodale-Roberts basis exchange from ``residuals`` to an L1 vertex.
+def _l1_vertex(X: np.ndarray, y: np.ndarray, start: np.ndarray, max_exchanges: int):
+    """Barrodale-Roberts basis exchange from the coefficients ``start`` to an L1 vertex.
 
     A vertex interpolates the p rows of a basis B: beta solves
     X_B beta = y_B.  It minimizes sum|y - X beta| when every entry of
@@ -562,24 +561,25 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, residuals: np.ndarray,
     with the largest |u| leaves B and a line search picks the row that
     enters.  A residual within a rounding bound of zero has no sign of its
     own: it is 0 until an exchange moves the row off it, and then keeps the
-    side the exchange put it on.  The start is the p smallest-|r| rows that
-    are linearly independent.
+    side the exchange put it on.  The first basis is the p rows with the
+    smallest |y - X start| that are linearly independent.
 
     Each of at most ``max_exchanges`` rounds tests the certificate and,
     failing it, makes one exchange; the vertex the last allowed exchange
-    reaches is returned untested.  Returns (beta, exchanges, certified),
-    with beta None when no p rows are independent within rounding, which
-    a nearly collinear design can give though its QR has full rank; a
-    basis that rounding leaves singular ends the walk at the vertex before.
+    reaches is returned untested.  Returns (beta, exchanges, certified).
+    A basis that rounding leaves singular ends the walk at the vertex
+    before, and at ``start`` itself when it is the first basis or when no
+    p rows are independent within rounding, which a nearly collinear
+    design can give though its QR has full rank.
     """
     getrf, getrs = _scipy().getrf, _scipy().getrs
     n, p = X.shape
     abs_x, abs_y = np.abs(X), np.abs(y)
     rounding = 4 * p * np.finfo(float).eps
-    basis = _independent_rows(X, np.abs(residuals))
+    basis = _independent_rows(X, np.abs(y - X @ start))
     if basis.size < p:
-        return None, 0, False
-    side, beta = np.zeros(n), None
+        return start, 0, False
+    side, beta = np.zeros(n), start
     for exchanges in range(max_exchanges + 1):
         lu, piv, info = getrf(X[basis])
         if info > 0:
@@ -634,9 +634,8 @@ def _lar_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
     residuals = y - X @ beta
     if float(residuals @ residuals) == 0.0:
         return beta, 0, True
-    vertex, exchanges, certified = _l1_vertex(X, y, residuals, LAR_MAX_EXCHANGES)
-    if vertex is not None and (np.sum(np.abs(y - X @ vertex))
-                               <= np.sum(np.abs(residuals))):
+    vertex, exchanges, certified = _l1_vertex(X, y, beta, LAR_MAX_EXCHANGES)
+    if np.sum(np.abs(y - X @ vertex)) <= np.sum(np.abs(residuals)):
         beta = vertex
     return beta, exchanges, certified
 
@@ -653,7 +652,7 @@ def fit_lar(table: FeatureTable, terms: TermSet,
     tested, so a fit the cap stops reports False even on an optimal vertex.
     The coefficients solve X_B beta = y_B for the final basis B, unless the
     ordinary start has the smaller sum|r|, as it can when the cap stops the
-    fit or no p rows are independent within rounding (unconverged).  A
+    fit or the walk ends at the start (unconverged; see ``_l1_vertex``).  A
     start that interpolates the rows is returned at once.
     """
     return _fit("lar", table, terms, confidence_level, _lar_walk)

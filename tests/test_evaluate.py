@@ -444,6 +444,20 @@ class TestCoefficientTable:
         with pytest.raises(FormatError):
             vf.parse_coefficient_table(f"m,series,n=0\n{row}\n")
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["CR", "CRLF"])
+    def test_parse_reads_any_line_ending_like_lf(self, newline):
+        text = 'm,series,n=0,n=1\n0,V,"1.0 (0.5, 1.5)",\n1,T,,"2.0 (1.5, 2.5)"\n'
+        assert (vf.parse_coefficient_table(text.replace("\n", newline))
+                == vf.parse_coefficient_table(text))
+
+    def test_parse_refuses_a_cell_longer_than_csv_reads(self):
+        with pytest.raises(FormatError, match="coefficient table line 2"):
+            vf.parse_coefficient_table(f"m,series,n=0\n0,V,{'1' * 131073}\n")
+
+    def test_parse_refuses_a_cell_with_a_trailing_newline(self):
+        with pytest.raises(FormatError, match="cannot parse coefficient cell"):
+            vf.parse_coefficient_table('m,series,n=0\n0,V,"1.0 (0.5, 1.5)\n"\n')
+
     def test_flat_csv_layout_and_round_trip(self):
         rng = np.random.default_rng(32)
         table = planted_table(LINE, [1.5, -0.5], 40, rng, noise=0.2)

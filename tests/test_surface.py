@@ -276,7 +276,7 @@ class TestFitLar:
         lar = vf.fit_lar(table, LINE)
         ols = vf.fit_ols(table, LINE)
         assert abs(lar.coefficients[1] - 2.0) < abs(ols.coefficients[1] - 2.0)
-        # the IRLS objective should beat a coarse grid-search L1 minimizer
+        # the vertex's objective should beat a coarse grid-search L1 minimizer
         X = vf.design_matrix(table, LINE)
         best_grid = min(
             float(np.abs(table.target - X @ np.array([a, b])).sum())
@@ -294,11 +294,10 @@ class TestFitLar:
         table = make_table(table.x, table.y, target)
         X = vf.design_matrix(table, LINE)
         beta0, _ = _qr_solve(X, table.target, LINE)
-        r = table.target - X @ beta0
         # the vertex after each number of basis exchanges, up to the certified one
         history, certified, cap = [], False, 0
         while not certified:
-            beta, exchanges, certified = _l1_vertex(X, table.target, r, cap)
+            beta, exchanges, certified = _l1_vertex(X, table.target, beta0, cap)
             assert exchanges == (cap - 1 if certified else cap)
             history.append(float(np.sum(np.abs(table.target - X @ beta))))
             cap += 1
@@ -384,22 +383,6 @@ class TestL1Vertex:
         table = _heavy_tailed_table(terms, [seed, len(terms)], n)
         self.assert_certified_optimum(table, terms, vf.fit_lar(table, terms))
 
-    def test_certificate_on_bundled_training_tables(self):
-        # recomputed here from the coefficients alone: the p rows the vertex
-        # interpolates form B, and u = X_B^-T sum_{i not in B} sign(r_i) x_i
-        _, results = run_pipeline(BUNDLED.read_text(), vf.PipelineConfig())
-        for result in results.values():
-            model, table = result["model"], result["train"]
-            assert model.converged
-            X = vf.design_matrix(table, model.term_set)
-            r = table.target - X @ np.asarray(model.coefficients)
-            p = X.shape[1]
-            order = np.argsort(np.abs(r))
-            basis, rest = order[:p], order[p:]
-            assert np.max(np.abs(r[basis])) < 1e-6 * np.min(np.abs(r[rest]))
-            u = np.linalg.solve(X[basis].T, X[rest].T @ np.sign(r[rest]))
-            assert np.max(np.abs(u)) <= 1.0 + 1e-9
-
     def test_never_worse_than_the_ols_start(self, monkeypatch):
         _, results = run_pipeline(BUNDLED.read_text(), vf.PipelineConfig())
         cases = [(r["train"], r["model"].term_set) for r in results.values()]
@@ -420,9 +403,8 @@ class TestL1Vertex:
             table = _heavy_tailed_table(terms, seed, 300)
             X = vf.design_matrix(table, terms)
             start, _ = _qr_solve(X, table.target, terms)
-            r = table.target - X @ start
             for cap in (1, 2, 3):
-                vertex, exchanges, certified = _l1_vertex(X, table.target, r, cap)
+                vertex, exchanges, certified = _l1_vertex(X, table.target, start, cap)
                 monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", cap)
                 model = vf.fit_lar(table, terms)
                 assert (model.iterations, model.converged) == (exchanges, certified)
@@ -500,6 +482,14 @@ class TestL1Vertex:
                                self.GUARD_TABLE, self.GUARD_TERMS, monkeypatch)
         self._assert_stopped(model, 2, 1, self.GUARD_TABLE, self.GUARD_TERMS,
                              monkeypatch)
+
+    def test_singular_first_basis_returns_the_start(self, monkeypatch):
+        # no vertex is reached: the fit keeps the OLS start, unconverged
+        table, terms = self.GUARD_TABLE, self.GUARD_TERMS
+        model = self._fit_with("getrf", lambda getrf: lambda a: (*getrf(a)[:2], 1),
+                               table, terms, monkeypatch)
+        assert (model.iterations, model.converged) == (0, False)
+        assert model.coefficients == vf.fit_ols(table, terms).coefficients
 
     def test_no_moving_rows_ends_the_walk(self, monkeypatch):
         # the direction solve follows the certificate's transposed solve; a
@@ -1294,14 +1284,22 @@ def _without_setter(path):
 BLAS_TABLE = _heavy_tailed_table(vf.DEFAULT_TERM_SETS["trend"], 71, 2000)
 
 
-class TestBlasThreads:
-    """geqp3 and orgqr run on one OpenBLAS thread; the count is restored."""
+class TestFitThreadScope:
+    """One one-thread scope per fit covers every LAPACK routine it calls, and
+    the process's count is restored however the fit ends."""
+
+    ROUTINES = ("geqp3", "orgqr", "trtrs", "getrf", "getrs")
+
+    @classmethod
+    def _patch(cls, monkeypatch, wrap):
+        """Make ``_scipy()`` hand out each routine as ``wrap(name, routine)``."""
+        lib = surface._scipy()
+        wrapped = types.SimpleNamespace(**{
+            **vars(lib), **{name: wrap(name, getattr(lib, name)) for name in cls.ROUTINES}})
+        monkeypatch.setattr(surface, "_scipy", lambda: wrapped)
 
     @needs_thread_setter
-    @pytest.mark.parametrize("method", vf.FIT_METHODS)
-    def test_factorizations_run_on_one_thread(self, method, monkeypatch,
-                                              two_blas_threads):
-        lib = surface._scipy()
+    def test_every_routine_runs_on_one_thread(self, monkeypatch, two_blas_threads):
         seen = []
 
         def reading(name, routine):
@@ -1310,19 +1308,28 @@ class TestBlasThreads:
                 return routine(*args, **kwargs)
             return call
 
-        reading_lib = types.SimpleNamespace(**{
-            **vars(lib), "geqp3": reading("geqp3", lib.geqp3),
-            "orgqr": reading("orgqr", lib.orgqr)})
-        monkeypatch.setattr(surface, "_scipy", lambda: reading_lib)
-        getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
-        assert {name for name, _ in seen} == {"geqp3", "orgqr"}
+        self._patch(monkeypatch, reading)
+        for method in vf.FIT_METHODS:
+            getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
+        assert {name for name, _ in seen} == set(self.ROUTINES)
         assert {count for _, count in seen} == {1}
         assert _blas_threads() == 2
 
     @needs_thread_setter
-    @pytest.mark.parametrize("method", vf.FIT_METHODS)
-    def test_fit_restores_the_count(self, method, two_blas_threads):
-        getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
+    @pytest.mark.parametrize("routine", ["geqp3", "orgqr", "trtrs", "getrf"])
+    def test_fit_whose_routine_raises_restores_the_count(self, routine, monkeypatch,
+                                                         two_blas_threads):
+        def failing(name, call):
+            if name != routine:
+                return call
+
+            def fail(*args, **kwargs):
+                raise RuntimeError(f"{name} failed")
+            return fail
+
+        self._patch(monkeypatch, failing)
+        with pytest.raises(RuntimeError, match=f"{routine} failed"):
+            vf.fit_lar(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
         assert _blas_threads() == 2
 
     @needs_thread_setter
@@ -1333,15 +1340,6 @@ class TestBlasThreads:
             np.linspace(0.1, 1, 30), np.full(30, 2.0), np.linspace(0, 1, 30))
         with pytest.raises(RankError):
             getattr(vf, f"fit_{method}")(table, vf.TermSet(((0, 0), (0, 1), (0, 2))))
-        assert _blas_threads() == 2
-
-    @needs_thread_setter
-    def test_failing_routine_restores_the_count(self, two_blas_threads):
-        def failing(*args, **kwargs):
-            raise RuntimeError("routine failed")
-
-        with pytest.raises(RuntimeError, match="routine failed"):
-            surface._with_workspace(failing, np.zeros((3, 2)))
         assert _blas_threads() == 2
 
     @pytest.mark.parametrize("cdll", [_unloadable, _without_setter],
@@ -1386,54 +1384,6 @@ class TestPublicScipyImports:
             surface._scipy.cache_clear()
         assert refused == ["scipy.linalg._flapack", "scipy.special._ufuncs"]
         assert got == expect
-
-
-class TestFitThreadScope:
-    """One one-thread scope per fit covers every LAPACK routine it calls."""
-
-    ROUTINES = ("geqp3", "orgqr", "trtrs", "getrf", "getrs")
-
-    @classmethod
-    def _patch(cls, monkeypatch, wrap):
-        """Make ``_scipy()`` hand out each routine as ``wrap(name, routine)``."""
-        lib = surface._scipy()
-        wrapped = types.SimpleNamespace(**{
-            **vars(lib), **{name: wrap(name, getattr(lib, name)) for name in cls.ROUTINES}})
-        monkeypatch.setattr(surface, "_scipy", lambda: wrapped)
-
-    @needs_thread_setter
-    def test_every_routine_runs_on_one_thread(self, monkeypatch, two_blas_threads):
-        seen = []
-
-        def reading(name, routine):
-            def call(*args, **kwargs):
-                seen.append((name, _blas_threads()))
-                return routine(*args, **kwargs)
-            return call
-
-        self._patch(monkeypatch, reading)
-        for method in vf.FIT_METHODS:
-            getattr(vf, f"fit_{method}")(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
-        assert {name for name, _ in seen} == set(self.ROUTINES)
-        assert {count for _, count in seen} == {1}
-        assert _blas_threads() == 2
-
-    @needs_thread_setter
-    @pytest.mark.parametrize("routine", ["trtrs", "getrf"])
-    def test_fit_whose_routine_raises_restores_the_count(self, routine, monkeypatch,
-                                                         two_blas_threads):
-        def failing(name, call):
-            if name != routine:
-                return call
-
-            def fail(*args, **kwargs):
-                raise RuntimeError(f"{name} failed")
-            return fail
-
-        self._patch(monkeypatch, failing)
-        with pytest.raises(RuntimeError, match=f"{routine} failed"):
-            vf.fit_lar(BLAS_TABLE, vf.DEFAULT_TERM_SETS["trend"])
-        assert _blas_threads() == 2
 
 
 class TestFactorizationCount:
