@@ -830,8 +830,15 @@ def model_from_document(text: str) -> PolySurfaceModel:
     """Parse a model document; raises FormatError on anything malformed.
 
     The records check every field's type and range rather than coerce it;
-    this reader parses the JSON and checks that the arrays are arrays.
+    ``_read_model`` parses the JSON and checks that the arrays are arrays.
+    A ``str`` is looked up first among the last 8 texts read, so equal
+    text returns the same frozen model it gave before; a failure is not
+    kept, and text of any other type is read afresh.
     """
+    return (_cached_model if type(text) is str else _read_model)(text)
+
+
+def _read_model(text) -> PolySurfaceModel:
     try:
         doc = json.loads(text)
         return PolySurfaceModel(
@@ -846,3 +853,6 @@ def model_from_document(text: str) -> PolySurfaceModel:
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"model document is malformed: {exc}") from exc
+
+
+_cached_model = functools.lru_cache(maxsize=8)(_read_model)

@@ -299,6 +299,14 @@ class TestPredictCommand:
         assert run_cli("predict", doc, 3.0, 4.0) == 0
         assert capsys.readouterr().out.strip() == "25.0000"
 
+    def test_rewritten_model_file_is_read_again(self, tmp_path, capsys):
+        doc = tmp_path / "model.json"
+        self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 2.0])
+        assert run_cli("predict", doc, 3.0, 4.0) == 0
+        self._write_model(doc, vf.TermSet(((0, 0), (1, 1))), [1.0, 3.0])
+        assert run_cli("predict", doc, 3.0, 4.0) == 0
+        assert capsys.readouterr().out.split() == ["25.0000", "37.0000"]
+
     @pytest.mark.parametrize("x,y", [("\u0663", "4"), ("3", "1_0"), ("\uff13", "4")])
     def test_coordinates_are_plain_numbers(self, tmp_path, capsys, x, y):
         doc = tmp_path / "model.json"

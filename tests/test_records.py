@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import volfit as vf
+from volfit import surface
 from helpers import JSON_VALUES
 
 VALUES = JSON_VALUES + (
@@ -97,5 +98,9 @@ def test_numbers_are_stored_as_floats(number):
 
 
 def test_readers_leave_the_field_rules_to_the_records():
-    for reader in (vf.model_from_document, vf.report_from_document):
+    # model_from_document hands its text to _read_model, through the cache
+    # for a str, so the JSON parse behind the cache is checked too
+    assert surface._cached_model.__wrapped__ is surface._read_model
+    for reader in (vf.model_from_document, surface._read_model,
+                   vf.report_from_document):
         assert not {"_number", "_count", "_flag"} & set(reader.__code__.co_names)

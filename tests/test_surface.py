@@ -1,5 +1,6 @@
 """Tests for feature construction and the three surface-fitting methods."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -1841,6 +1842,60 @@ class TestModelDocuments:
         text = json.dumps(document).replace('"terms": [', '"terms": ' + "[" * 5000, 1)
         with pytest.raises(FormatError):
             vf.model_from_document(text)
+
+
+class TestModelDocumentCache:
+    """``model_from_document`` keeps the models of the last str texts it
+    read; what it returns and raises is what an uncached read gives."""
+
+    @pytest.fixture
+    def text(self):
+        return vf.model_to_document(vf.PolySurfaceModel(
+            term_set=LINE, coefficients=(1.0, 2.0), bounds=((0.5, 1.5), (1.5, 2.5)),
+            method="ols", n_points=5, sigma=0.25, iterations=0))
+
+    def test_bytes_and_bytearray_read(self, text):
+        model = vf.model_from_document(text)
+        assert vf.model_from_document(text.encode()) == model
+        assert vf.model_from_document(bytearray(text.encode())) == model
+
+    def test_non_text_is_refused_with_format_error(self):
+        for value in (5, None, [1], {}):
+            with pytest.raises(FormatError):
+                vf.model_from_document(value)
+
+    def test_malformed_document_is_refused_on_every_call(self, text):
+        malformed = text.replace('"ols"', '"least-squares"')
+        hits = surface._cached_model.cache_info().hits
+        for document in (malformed, malformed.encode(), bytearray(malformed.encode())):
+            for _ in range(3):
+                with pytest.raises(FormatError, match="least-squares"):
+                    vf.model_from_document(document)
+        assert surface._cached_model.cache_info().hits == hits
+
+    def test_equal_text_in_distinct_objects_reads_alike(self, text):
+        copy = "".join(list(text))
+        assert copy is not text
+        assert (vf.model_from_document(copy) == vf.model_from_document(text)
+                == surface._read_model(text))
+
+    def test_returned_model_is_frozen(self, text):
+        model = vf.model_from_document(text)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.sigma = 0.0
+        assert vf.model_from_document(text).sigma == 0.25
+
+    def test_cache_keeps_at_most_its_bound(self, text):
+        bound = surface._cached_model.cache_info().maxsize
+        assert bound == 8  # the bound README names
+        texts = [text.replace('"n_points": 5', f'"n_points": {5 + i}')
+                 for i in range(bound + 3)]
+        models = [vf.model_from_document(t) for t in texts]
+        assert [m.n_points for m in models] == list(range(5, 5 + bound + 3))
+        assert surface._cached_model.cache_info().currsize <= bound
+        misses = surface._cached_model.cache_info().misses
+        assert vf.model_from_document(texts[0]) == models[0]
+        assert surface._cached_model.cache_info().misses == misses + 1
 
 
 def _model_documents():
