@@ -35,8 +35,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from volfit import surface  # noqa: E402
 from volfit.cli import main  # noqa: E402
 
-METHODS = ("ols", "lar", "bisquare")
-
 
 def _openblas_cores() -> tuple[str, str]:
     """The OpenBLAS kernel cores of scipy's LAPACK, whose extension
@@ -88,7 +86,7 @@ def hash_lines(path: str) -> list[str]:
     lines = []
     files, _ = run(["decompose", "--input", path])
     lines += [f"{_digest(data)}  {path}:decompose/{name}" for name, data in files.items()]
-    for method in METHODS:
+    for method in surface.FIT_METHODS:
         for command in (["fit"], ["export-plot", "--grid", "25"], ["evaluate"]):
             files, stdout = run([*command, "--input", path, "--method", method])
             if command == ["evaluate"]:

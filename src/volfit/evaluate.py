@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
@@ -153,15 +151,10 @@ def report_from_document(text: str) -> FitReport:
         raise FormatError(f"report document is malformed: {exc}") from exc
 
 
-def _format_cell(value: float, lower: float, upper: float) -> str:
-    # repr gives the shortest decimal that re-parses to the same float, so
-    # the emitted table round-trips exactly
-    return f"{value!r} ({lower!r}, {upper!r})"
-
-
 def _csv_text(header: str, columns) -> str:
     """The header line, then one line per row of the cell columns: what
-    ``csv.writer`` writes, since no pre-formatted cell needs quoting."""
+    ``csv.writer`` writes, since no cell holds a quote or a line break and
+    a caller quotes a cell that holds a comma."""
     return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -185,18 +178,15 @@ def export_coefficient_table(models: Mapping[str, PolySurfaceModel]) -> str:
     cells = {}
     for name in _series_order(models):
         model = models[name]
-        cells[name] = {term: _format_cell(c, lo, hi) for term, c, (lo, hi)
+        # repr round-trips each float exactly; every cell holds ", ", so it
+        # is quoted as csv.writer quotes it
+        cells[name] = {term: f'"{c!r} ({lo!r}, {hi!r})"' for term, c, (lo, hi)
                        in zip(model.term_set.terms, model.coefficients, model.bounds)}
     ms = sorted({m for terms in cells.values() for m, _ in terms})
     ns = sorted({n for terms in cells.values() for _, n in terms})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["m", "series"] + [f"n={n}" for n in ns])
-    for m in ms:
-        for name, terms in cells.items():
-            writer.writerow([str(m), SERIES_LETTERS[name]]
-                            + [terms.get((m, n), "") for n in ns])
-    return buf.getvalue()
+    rows = [(str(m), SERIES_LETTERS[name], *(terms.get((m, n), "") for n in ns))
+            for m in ms for name, terms in cells.items()]
+    return _csv_text(",".join(["m", "series", *(f"n={n}" for n in ns)]), zip(*rows))
 
 
 def _table_number(text: str) -> float:

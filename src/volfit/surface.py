@@ -127,7 +127,10 @@ class FeatureTable:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float))
-        object.__setattr__(self, "provenance", np.asarray(self.provenance, dtype=int))
+        provenance = np.asarray(self.provenance)
+        if provenance.size and provenance.dtype.kind not in "iu":
+            raise ValueError(f"provenance must hold integers, got {provenance.dtype}")
+        object.__setattr__(self, "provenance", provenance.astype(int, copy=False))
         lengths = {arr.shape for arr in (self.x, self.y, self.target, self.provenance)}
         if len(lengths) != 1 or self.x.ndim != 1:
             raise ValueError("feature columns must be 1-d and equally long")
@@ -438,10 +441,10 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
     converged)``.  The one place bounds are computed, one rule for every
     method: c +- t_{1-(1-level)/2, n-p} se(c), with sigma = sqrt(SSE / (n - p))
     over the method's own residuals and se from sigma^2 (X'X)^-1, taken
-    from the start's factor.  An interpolating design (n == p) skips the
-    walk and has sigma 0 and point bounds.  Raises InsufficientData for
-    n < p, and ValueError after the start and before the walk unless
-    0 < level < 1, so a rank-deficient design raises RankError first.
+    from the start's factor.  A start that interpolates every row (n == p, or
+    SSE 0) skips the walk and has sigma 0 and point bounds.  Raises
+    InsufficientData for n < p, and ValueError after the start and before the
+    walk unless 0 < level < 1, so a rank-deficient design raises RankError first.
 
     The start, the walk and the bounds run on one thread of scipy's
     OpenBLAS, set through ``_scipy().set_threads`` and restored in a
@@ -466,17 +469,18 @@ def _fit(method: str, table: FeatureTable, terms: TermSet, confidence_level: flo
         if not 0.0 < confidence_level < 1.0:
             raise ValueError(
                 f"confidence level must lie in (0, 1), got {confidence_level!r}")
-        beta, iterations, converged = (walk(X, y, beta, terms) if n > p
-                                       else (beta, 0, True))
+        residuals, iterations, converged = y - X @ beta, 0, True
+        if n > p and float(residuals @ residuals) != 0.0:
+            beta, iterations, converged = walk(X, y, beta, terms)
+            residuals = y - X @ beta
         coefficients = tuple(float(b) for b in beta)
         sigma, bounds = 0.0, tuple((c, c) for c in coefficients)
         if n > p:
-            residuals = y - X @ beta
             sigma = math.sqrt(float(residuals @ residuals) / (n - p))
             rinv = _r_solve(r, np.eye(p))
             variance = np.empty(p)
             variance[piv] = np.diag(rinv @ rinv.T)
-            se = sigma * np.sqrt(np.maximum(variance, 0.0))
+            se = sigma * np.sqrt(variance)
             tq = float(_scipy().stdtrit(n - p, 0.5 + confidence_level / 2.0))
             bounds = tuple((float(c - tq * s), float(c + tq * s))
                            for c, s in zip(coefficients, se))
@@ -512,24 +516,21 @@ def _independent_rows(X: np.ndarray, keys: np.ndarray) -> np.ndarray:
     Gram-Schmidt on the rows with the columns scaled to a max of 1; a row
     whose remainder is within rounding of zero (a duplicate, say) is skipped.
     """
-    n, p = X.shape
+    p = X.shape[1]
     scaled = X / np.max(np.abs(X), axis=0)
     span = np.empty((p, p))
-    rows, walked, size = [], 0, 4 * p
-    while len(rows) < p and walked < n:
-        order = _stable_prefix(keys, size)
-        for i in order[walked:]:
-            basis = span[:len(rows)]
-            v = scaled[i]
-            w = v - (basis @ v) @ basis
-            w -= (basis @ w) @ basis
-            norm = math.sqrt(w @ w)
-            if norm > 64 * p * np.finfo(float).eps * math.sqrt(v @ v):
-                np.divide(w, norm, out=span[len(rows)])
-                rows.append(i)
-                if len(rows) == p:
-                    break
-        walked, size = order.size, 4 * size
+    rows = []
+    for i in np.argsort(keys, kind="stable"):
+        basis = span[:len(rows)]
+        v = scaled[i]
+        w = v - (basis @ v) @ basis
+        w -= (basis @ w) @ basis
+        norm = math.sqrt(w @ w)
+        if norm > 64 * p * np.finfo(float).eps * math.sqrt(v @ v):
+            np.divide(w, norm, out=span[len(rows)])
+            rows.append(i)
+            if len(rows) == p:
+                break
     return np.sort(np.array(rows))
 
 
@@ -631,11 +632,8 @@ def _l1_vertex(X: np.ndarray, y: np.ndarray, start: np.ndarray, max_exchanges: i
 
 def _lar_walk(X: np.ndarray, y: np.ndarray, beta: np.ndarray, terms: TermSet):
     """``fit_lar``'s walk from the start to the better of it and the vertex."""
-    residuals = y - X @ beta
-    if float(residuals @ residuals) == 0.0:
-        return beta, 0, True
     vertex, exchanges, certified = _l1_vertex(X, y, beta, LAR_MAX_EXCHANGES)
-    if np.sum(np.abs(y - X @ vertex)) <= np.sum(np.abs(residuals)):
+    if np.sum(np.abs(y - X @ vertex)) <= np.sum(np.abs(y - X @ beta)):
         beta = vertex
     return beta, exchanges, certified
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import volfit as vf
 from volfit.errors import DegreesOfFreedomError, FormatError, SplitError
@@ -476,6 +477,56 @@ class TestCoefficientTable:
             assert float(cells[3]) == c
             assert float(cells[4]) == lo
             assert float(cells[5]) == hi
+
+
+# coefficient values with signed zeros, subnormals and extremes
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 1e300, -1e300, 0.1, -3.0]
+
+
+@st.composite
+def _grid_models(draw):
+    """Models of one to four series over exponents up to 5, so some cells
+    stay blank, with each coefficient between its bounds."""
+    names = draw(st.lists(st.sampled_from(vf.SERIES_NAMES), min_size=1,
+                          max_size=4, unique=True))
+    number = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False,
+                                                      allow_infinity=False)
+    models = {}
+    for name in names:
+        terms = vf.TermSet(tuple(draw(st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            min_size=1, max_size=8, unique=True))))
+        triples = [sorted(draw(st.lists(number, min_size=3, max_size=3)))
+                   for _ in terms.terms]
+        models[name] = vf.PolySurfaceModel(
+            term_set=terms, coefficients=[c for _, c, _ in triples],
+            bounds=[(lo, hi) for lo, _, hi in triples], method="ols",
+            n_points=len(terms), sigma=0.0, iterations=0)
+    return models
+
+
+def _csv_writer_grid(models):
+    """The coefficient grid as csv.writer writes it: the reference spelling."""
+    names = [name for name in vf.SERIES_NAMES if name in models]
+    cells = {name: {term: f"{c!r} ({lo!r}, {hi!r})" for term, c, (lo, hi) in zip(
+        models[name].term_set.terms, models[name].coefficients, models[name].bounds)}
+        for name in names}
+    ms = sorted({m for name in names for m, _ in cells[name]})
+    ns = sorted({n for name in names for _, n in cells[name]})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["m", "series"] + [f"n={n}" for n in ns])
+    for m in ms:
+        for name in names:
+            writer.writerow([m, SERIES_LETTERS[name]]
+                            + [cells[name].get((m, n), "") for n in ns])
+    return buf.getvalue()
+
+
+@given(models=_grid_models())
+@settings(max_examples=300, deadline=None)
+def test_coefficient_grid_is_what_csv_writer_writes(models):
+    assert vf.export_coefficient_table(models) == _csv_writer_grid(models)
 
 
 def _coefficient_tables():

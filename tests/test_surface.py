@@ -147,6 +147,31 @@ class TestFeatureTable:
         with pytest.raises(ValueError, match=f"column '{column}' contains non-finite"):
             vf.FeatureTable(**columns, provenance=[1, 2])
 
+    @pytest.mark.parametrize("provenance", [
+        [1.5, 2.7], [True, False], ["1", "2"], [1.0, 2.0]])
+    def test_provenance_of_any_other_kind_than_integers_is_refused(self, provenance):
+        # an int cast would truncate 1.5 to 1 and read True and "1" as 1
+        with pytest.raises(ValueError, match="provenance must hold integers"):
+            vf.FeatureTable([0.5, 1.0], [1.0, 2.0], [3.0, 4.0], provenance)
+
+    @pytest.mark.parametrize("provenance", [
+        [3, 7], np.array([3, 7], dtype=np.int32), np.array([3, 7], dtype=np.uint16),
+        (np.int64(3), np.int8(7)),
+    ])
+    def test_integer_provenance_is_kept(self, provenance):
+        table = vf.FeatureTable([0.5, 1.0], [1.0, 2.0], [3.0, 4.0], provenance)
+        assert table.provenance.dtype == np.dtype(int)
+        assert table.provenance.tolist() == [3, 7]
+
+    def test_int_provenance_is_not_copied(self):
+        provenance = np.array([3, 7])
+        table = vf.FeatureTable([0.5, 1.0], [1.0, 2.0], [3.0, 4.0], provenance)
+        assert table.provenance is provenance
+
+    def test_empty_provenance_is_accepted(self):
+        table = vf.FeatureTable([], [], [], [])
+        assert len(table) == 0 and table.provenance.dtype == np.dtype(int)
+
 
 class TestDesignMatrix:
     def test_constant_term_is_ones(self):
@@ -306,26 +331,12 @@ class TestFitLar:
         for before, after in zip(history, history[1:]):
             assert after <= before * (1.0 + 1e-12)
 
-    def test_nonconvergence_reports_flag(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        table = planted_table(LINE, [1.0, 2.0], 500, rng, noise=0.5)
-        monkeypatch.setattr(surface, "LAR_MAX_EXCHANGES", 2)
-        model = vf.fit_lar(table, LINE)
-        assert not model.converged
-        assert model.iterations <= 2
-
-    def test_interpolating_table_short_circuits(self):
-        table = make_table([0.25, 1.0], [1.0, 2.0], [5.0, 7.0])
-        model = vf.fit_lar(table, LINE)
-        assert model.iterations == 0
-        assert model.converged
-        r = table.target - vf.evaluate_surface(model, table.x, table.y)
-        assert np.max(np.abs(r)) < 1e-12
-
-    def test_interpolating_start_with_spare_rows_gets_point_bounds(self):
-        # n > p, and the ordinary start fits every row exactly: SSE is 0
+    @pytest.mark.parametrize("method", vf.FIT_METHODS)
+    def test_interpolating_start_with_spare_rows_gets_point_bounds(self, method):
+        # n > p, and the ordinary start fits every row exactly: SSE is 0, so
+        # _fit skips the walk
         table = make_table([0.25, 0.5, 0.75, 1.0], [1.0] * 4, [1.5, 2.0, 2.5, 3.0])
-        model = vf.fit_lar(table, LINE)
+        model = getattr(vf, f"fit_{method}")(table, LINE)
         assert model.coefficients == (1.0, 2.0)
         assert model.bounds == ((1.0, 1.0), (2.0, 2.0))
         assert model.sigma == 0.0
@@ -590,7 +601,8 @@ TIED_KEYS = [-np.inf, -1.5, -0.0, 0.0, 1e-300, 0.5, 0.5 + 2 ** -53, 2.0, np.inf]
 
 
 class TestPrefixSorts:
-    """The LAR vertex sorts prefixes only, with the bits of a full stable sort."""
+    """The line search sorts prefixes only, with the bits of a full stable sort;
+    the basis row pick, one stable sort, matches a vstack-grown reference."""
 
     @given(keys=st.lists(st.sampled_from(TIED_KEYS)
                          | st.floats(-1e3, 1e3, allow_subnormal=True),
@@ -684,7 +696,7 @@ class TestPrefixSorts:
         rng = np.random.default_rng(3)
         X, _ = _random_design(rng, 50, 5)
         # the 100 smallest keys belong to copies of two rows, so the walk
-        # grows its prefix from 4p = 20 to 80 to 320 before it finds five
+        # passes all 100 copies before it finds the other three rows
         copied = np.vstack([np.repeat(X[:2], 50, axis=0), X[2:]])
         low = np.zeros(100) if tied else np.linspace(0.0, 0.5, 100)
         keys = np.concatenate([low, rng.uniform(1.0, 2.0, 48)])
@@ -747,12 +759,6 @@ class TestFitBisquare:
         table = planted_table(LINE, [1.0, 2.0], 60, rng, noise=0.2)
         model = vf.fit_bisquare(table, LINE)
         assert model.iterations >= 1
-
-    def test_interpolating_table_short_circuits(self):
-        table = make_table([0.25, 1.0], [1.0, 2.0], [5.0, 7.0])
-        model = vf.fit_bisquare(table, LINE)
-        assert model.iterations == 0
-        assert model.converged
 
     # The walk's three early stops, told apart by the QR solves the fit
     # runs or tries (the start's included).  Each table stops the same way,
@@ -970,13 +976,17 @@ class TestConfidenceBounds:
 
 @pytest.mark.parametrize("method", vf.FIT_METHODS)
 def test_interpolating_fit_checks_the_level(method):
-    # n == p: point bounds at a valid level, ValueError at an invalid one
+    # n == p: no walk and point bounds at a valid level, ValueError at an
+    # invalid one
     table = make_table([0.25, 1.0], [1.0, 2.0], [5.0, 7.0])
     terms = vf.TermSet(((0, 0), (0, 1)))
     fit = getattr(vf, f"fit_{method}")
     model = fit(table, terms)
+    assert (model.iterations, model.converged) == (0, True)
     assert model.bounds == tuple((c, c) for c in model.coefficients)
     assert model.sigma == 0.0
+    r = table.target - vf.evaluate_surface(model, table.x, table.y)
+    assert np.max(np.abs(r)) < 1e-12
     for level in (0.0, 1.0, 1.5, math.nan):
         with pytest.raises(ValueError, match="confidence level"):
             fit(table, terms, confidence_level=level)
